@@ -3,16 +3,14 @@
 // short-running and I/O-heavy ones (sed, compress) and the write-buffer-
 // bound one (liv) larger.
 //
-// The suite runs on the capture-once / replay-many pipeline with the
-// single-pass sweep engine on top: each workload's traced machine run is
-// captured into a packed TraceLog, the primary prediction replays it, and
-// the what-if sweep (half/quarter-size caches, a slower memory, more wired
-// TLB entries) is priced with at most two extra passes — the geometry-only
-// variants (cache32k, cache16k) are absorbed by ONE forest-simulation sweep
-// pass with exact miss counts, and only the non-sweepable ones (slowmem,
-// wired16 — different penalties / TLB wiring change the effective stream)
-// still fan out to dedicated replays.  WRL_BATCH=0 forces per-ref delivery;
-// every miss count is bit-identical either way.
+// The suite runs in capture mode with the single-pass sweep engine on top:
+// each workload's traced machine run is captured into a packed TraceLog,
+// then one parse of the capture feeds the primary prediction and the
+// what-if sweep (half/quarter-size caches, a slower memory, more wired TLB
+// entries) together.  The geometry-only variants (cache32k, cache16k) are
+// absorbed by ONE forest-simulation sweep pass with exact miss counts; only
+// the non-sweepable ones (slowmem, wired16 — different penalties / TLB
+// wiring change the effective stream) get dedicated simulators.
 #include <cmath>
 #include <cstdio>
 

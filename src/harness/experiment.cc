@@ -8,10 +8,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 
-#include "harness/replay_engine.h"
 #include "support/error.h"
 #include "support/strings.h"
 #include "trace/parser.h"
@@ -56,19 +57,6 @@ void CoverFamilyPoint(std::vector<CacheFamilySpec>& families, uint32_t line, uin
   }
   families.push_back({line, size, size});
 }
-
-// Non-owning pass-through, so a stack-allocated analysis chain can serve as
-// a ReplayEngine config (which wants to own its sinks).
-class BorrowedSink : public RefBatchSink {
- public:
-  explicit BorrowedSink(RefBatchSink* target) : target_(target) {}
-  void OnRefBatch(const TraceRef* refs, size_t count) override {
-    target_->OnRefBatch(refs, count);
-  }
-
- private:
-  RefBatchSink* target_;
-};
 
 // Live progress heartbeat (stderr only, so reports are untouched): a
 // monitor thread prints workloads done, aggregate parse throughput, the
@@ -204,6 +192,416 @@ SystemConfig MakeConfig(const WorkloadSpec& workload, const ExperimentOptions& o
   return config;
 }
 
+// Page mapping (paper §4.2): the simulator implements the policy.  Under
+// the deterministic policy this reproduces the measured run's map; under
+// Mach's random policy it is *a* mapping with the right distribution but
+// different draws — the repeatability problem the paper reports.
+PredictorConfig PrimaryConfig(const ExperimentOptions& options, const SystemInstance& measured) {
+  PredictorConfig config;
+  config.dilation = options.dilation;
+  config.page_map = options.personality == Personality::kMach
+                        ? measured.PageMap(13)  // Different permutation draw.
+                        : measured.PageMap();
+  return config;
+}
+
+// A trace-driven simulator with the original binaries, for the pixie-style
+// arithmetic-stall estimate.
+std::unique_ptr<TraceDrivenSimulator> MakeSimulator(const PredictorConfig& config,
+                                                    const SystemInstance& measured) {
+  auto simulator = std::make_unique<TraceDrivenSimulator>(config);
+  simulator->AddTextImage(measured.kernel_exe());
+  simulator->AddTextImage(measured.workload_orig());
+  return simulator;
+}
+
+// The experiment's archive identity: harness keys first, caller extras
+// after.  MetaValue returns the first match, so the harness's own identity
+// is authoritative.
+ArchiveMeta HarnessArchiveMeta(const WorkloadSpec& workload, const ExperimentOptions& options) {
+  ArchiveMeta meta;
+  meta.emplace_back("workload", workload.name);
+  meta.emplace_back("personality", PersonalityName(options.personality));
+  meta.emplace_back("clock_period", std::to_string(options.clock_period));
+  meta.emplace_back("dilation", StrFormat("%.17g", options.dilation));
+  meta.emplace_back("trace_buf_bytes", std::to_string(options.trace_buf_bytes));
+  meta.emplace_back("scavenge", options.scavenge ? "1" : "0");
+  meta.emplace_back("max_instructions", std::to_string(options.max_instructions));
+  meta.insert(meta.end(), options.archive_meta.begin(), options.archive_meta.end());
+  return meta;
+}
+
+// ---- The measured run ----
+// The uninstrumented system with the hardware timer.  Built on the calling
+// thread either way: the traced side only needs the measured *build*
+// outputs (page layouts, original binaries), all of which are immutable
+// once BuildSystem returns, so with parallel_pair the measured *run* can
+// overlap the whole traced half on a helper thread.
+class MeasuredRun {
+ public:
+  MeasuredRun(const WorkloadSpec& workload, const ExperimentOptions& options,
+              EventRecorder* events)
+      : workload_(workload), options_(options), events_(events) {
+    {
+      EventRecorder::Scope scope(events, "build.measured", "build");
+      system_ = BuildSystem(MakeConfig(workload, options, false, events));
+    }
+    auto [idle_lo, idle_hi] = system_->IdleRange();
+    system_->machine().SetIdleRange(idle_lo, idle_hi);
+  }
+
+  ~MeasuredRun() {
+    if (thread_.joinable()) {
+      thread_.join();
+    }
+  }
+  MeasuredRun(const MeasuredRun&) = delete;
+  MeasuredRun& operator=(const MeasuredRun&) = delete;
+
+  SystemInstance& system() { return *system_; }
+  uint64_t run_wall_us() const { return run_wall_us_; }
+
+  // Runs the system and fills the measured-side fields of `result`: inline,
+  // or with parallel_pair on a helper thread recording into a private
+  // recorder.
+  void Start(ExperimentResult& result) {
+    if (!options_.parallel_pair) {
+      Run(events_, result);
+      return;
+    }
+    epoch_us_ = events_->ElapsedUs();
+    thread_ = std::thread([this, &result] {
+      try {
+        Run(&thread_events_, result);
+      } catch (...) {
+        error_ = std::current_exception();
+      }
+    });
+  }
+
+  // Waits for an overlapped run, rethrows its failure, and folds its
+  // run.measured phase back into the shared timeline at its true wall
+  // offset.
+  void Join() {
+    if (!thread_.joinable()) {
+      return;
+    }
+    thread_.join();
+    if (error_ != nullptr) {
+      std::rethrow_exception(error_);
+    }
+    events_->Absorb(thread_events_.TakeEvents(), epoch_us_, /*depth_offset=*/1);
+  }
+
+ private:
+  void Run(EventRecorder* events, ExperimentResult& result) {
+    events->SetCycleSource([machine = &system_->machine()] { return machine->cycles(); });
+    RunResult run;
+    uint64_t wall0 = WallNowUs();
+    {
+      EventRecorder::Scope scope(events, "run.measured", "run");
+      run = system_->Run(options_.max_instructions);
+    }
+    run_wall_us_ = WallNowUs() - wall0;
+    if (!run.halted) {
+      throw Error(StrFormat("measured run of '%s' did not halt (pc=0x%08x)",
+                            workload_.name.c_str(), system_->machine().pc()));
+    }
+    result.measured_cycles = system_->ProcessCycles(1);
+    result.measured_utlb = system_->UtlbMissCount();
+    result.measured_idle_instructions = system_->machine().idle_instructions();
+    result.measured_tlbdropins = system_->TlbDropins();
+    result.measured_user_instructions = system_->machine().user_instructions();
+    result.exit_code = system_->ProcessExitCode(1);
+  }
+
+  const WorkloadSpec& workload_;
+  const ExperimentOptions& options_;
+  EventRecorder* events_;
+  std::unique_ptr<SystemInstance> system_;
+  uint64_t run_wall_us_ = 0;
+  EventRecorder thread_events_;
+  uint64_t epoch_us_ = 0;
+  std::exception_ptr error_;
+  std::thread thread_;
+};
+
+// ---- The analysis ----
+// One parser feeding one TeeBatchSink over every sink the options ask for:
+// the primary simulator, the profiler and the sweep engine when enabled,
+// and one dedicated simulator per variant the sweep cannot price.  A live
+// run feeds it each drain during the traced run; a capture run feeds it
+// the TraceLog after the run.  The wiring is the same either way, which is
+// what makes the two modes bit-identical.
+class Analysis {
+ public:
+  Analysis(const WorkloadSpec& workload, const ExperimentOptions& options,
+           const SystemInstance& measured, const SystemInstance& traced);
+  // The parser holds the tee's address and the drain chain holds this one.
+  Analysis(const Analysis&) = delete;
+  Analysis& operator=(const Analysis&) = delete;
+
+  // Capture when asked, or when some variant needs a dedicated simulator;
+  // a sweep that absorbs every variant lets the analysis stay live.
+  bool capture() const { return capture_; }
+  void SetEventRecorder(EventRecorder* events) { parser_.SetEventRecorder(events); }
+  void Feed(const uint32_t* words, size_t count) { parser_.Feed(words, count); }
+  // Ends the stream and harvests every sink into `result`, variants in the
+  // caller's order.
+  void Finish(ExperimentResult& result);
+  void RegisterStats(StatsRegistry& registry);
+
+ private:
+  const ExperimentOptions& options_;
+  TraceParser parser_;
+  std::unique_ptr<TraceDrivenSimulator> simulator_;
+  std::unique_ptr<TraceProfiler> profiler_;
+  std::unique_ptr<SweepEngine> sweep_;
+  // One entry per ReplayVariant: its dedicated simulator, or null when the
+  // sweep engine prices it.
+  std::vector<std::unique_ptr<TraceDrivenSimulator>> variants_;
+  std::unique_ptr<TeeBatchSink> tee_;
+  bool capture_ = false;
+};
+
+Analysis::Analysis(const WorkloadSpec& workload, const ExperimentOptions& options,
+                   const SystemInstance& measured, const SystemInstance& traced)
+    : options_(options), parser_(&traced.kernel_table()), capture_(options.capture_replay) {
+  const bool mach = options.personality == Personality::kMach;
+  parser_.SetUserTable(1, &traced.user_table());
+  if (mach) {
+    parser_.SetUserTable(2, &traced.server_table());
+  }
+  parser_.SetInitialContext(kKernelPid);
+
+  const PredictorConfig pconfig = PrimaryConfig(options, measured);
+  simulator_ = MakeSimulator(pconfig, measured);
+  std::vector<RefBatchSink*> sinks{simulator_.get()};
+  if (options.profile) {
+    // Same tables the parser resolves keys against; symbols from the
+    // original images (the address space the reconstructed refs live in).
+    profiler_ = std::make_unique<TraceProfiler>(options.profile_options);
+    profiler_->AddTable(kKernelPid, &traced.kernel_table());
+    profiler_->AddTable(1, &traced.user_table());
+    profiler_->AddSymbols(kKernelPid, traced.kernel_orig());
+    profiler_->AddSymbols(1, measured.workload_orig());
+    profiler_->SetSpaceName(1, workload.name);
+    if (mach) {
+      profiler_->AddTable(2, &traced.server_table());
+      profiler_->AddSymbols(2, traced.server_orig());
+      profiler_->SetSpaceName(2, "server");
+    }
+    sinks.push_back(profiler_.get());
+  }
+
+  // With the sweep active, geometry-only variants are priced by the
+  // single-pass sweep engine, its families widened to cover every absorbed
+  // geometry (its construction rejects non-power-of-two family specs with
+  // a diagnostic naming the offending size).  Every other variant gets a
+  // dedicated simulator.
+  const bool sweep_active = options.sweep.Active();
+  SweepConfig sweep_config;
+  sweep_config.base = pconfig.memsys;
+  sweep_config.page_map = pconfig.page_map;
+  sweep_config.tlb_wired = pconfig.tlb_wired;
+  sweep_config.icache = options.sweep.icache;
+  sweep_config.dcache = options.sweep.dcache;
+  sweep_config.tlb_max_entries = options.sweep.tlb_max_entries;
+  for (const ReplayVariant& v : options.replay_variants) {
+    if (sweep_active && GeometryOnly(v, pconfig)) {
+      CoverFamilyPoint(sweep_config.icache, v.memsys.icache.line_bytes,
+                       v.memsys.icache.size_bytes);
+      CoverFamilyPoint(sweep_config.dcache, v.memsys.dcache.line_bytes,
+                       v.memsys.dcache.size_bytes);
+      variants_.push_back(nullptr);
+      continue;
+    }
+    PredictorConfig vconfig = pconfig;
+    vconfig.memsys = v.memsys;
+    vconfig.tlb_wired = v.tlb_wired;
+    if (v.page_map_mult != 0) {
+      vconfig.page_map = measured.PageMap(v.page_map_mult);
+    }
+    variants_.push_back(MakeSimulator(vconfig, measured));
+    capture_ = true;
+  }
+  if (sweep_active) {
+    sweep_ = std::make_unique<SweepEngine>(sweep_config);
+    sinks.push_back(sweep_.get());
+  }
+  for (const std::unique_ptr<TraceDrivenSimulator>& variant : variants_) {
+    if (variant != nullptr) {
+      sinks.push_back(variant.get());
+    }
+  }
+  tee_ = std::make_unique<TeeBatchSink>(std::move(sinks));
+  parser_.SetBatchSink(tee_.get());
+}
+
+void Analysis::Finish(ExperimentResult& result) {
+  parser_.Finish();
+  result.parser_errors = parser_.stats().validation_errors;
+  if (profiler_ != nullptr) {
+    result.profile = profiler_->Finish();
+  }
+  result.prediction = simulator_->Finish();
+  if (sweep_ != nullptr) {
+    result.sweep = sweep_->Finish();
+    result.sweep_ran = true;
+  }
+  if (capture_) {
+    // Host time per sink is a capture-mode figure (a live analysis shares
+    // the traced run's wall clock).  The sweep engine is priced per family
+    // point; every other sink counts toward the replay throughput.
+    uint64_t wall_us = 0;
+    uint64_t sinks = 0;
+    for (const RefBatchSink* sink : tee_->sinks()) {
+      if (sink != sweep_.get()) {
+        wall_us += tee_->wall_us(sink);
+        ++sinks;
+      }
+    }
+    const double refs = static_cast<double>(tee_->refs());
+    result.replay_mrefs_per_sec =
+        wall_us > 0 ? refs * static_cast<double>(sinks) / static_cast<double>(wall_us) : 0.0;
+    if (sweep_ != nullptr) {
+      result.sweep.wall_us = tee_->wall_us(sweep_.get());
+      if (result.sweep.wall_us > 0) {
+        // Equivalent-replay throughput: one pass priced `family_points`
+        // configurations of `refs` references each.
+        result.sweep_mrefs_per_sec = static_cast<double>(result.sweep.family_points) *
+                                     static_cast<double>(result.sweep.refs) /
+                                     static_cast<double>(result.sweep.wall_us);
+      }
+    }
+  }
+  for (size_t i = 0; i < variants_.size(); ++i) {
+    const ReplayVariant& v = options_.replay_variants[i];
+    ReplayVariantResult vr;
+    vr.name = v.name;
+    if (variants_[i] == nullptr) {
+      // Exact miss counts from the shared sweep pass, derived timing.
+      vr.prediction = sweep_->DerivePrediction(result.prediction, v.memsys);
+      vr.tlb = sweep_->tlb_stats();
+      vr.refs = result.sweep.refs;
+      vr.swept = true;
+    } else {
+      vr.prediction = variants_[i]->Finish();
+      vr.tlb = variants_[i]->tlb().stats();
+      vr.refs = tee_->refs();
+      vr.wall_us = tee_->wall_us(variants_[i].get());
+    }
+    result.replays.push_back(std::move(vr));
+  }
+}
+
+void Analysis::RegisterStats(StatsRegistry& registry) {
+  parser_.RegisterStats(registry, "parser.");
+  simulator_->RegisterStats(registry, "predicted.");
+  if (sweep_ != nullptr) {
+    sweep_->RegisterStats(registry, "sweep.");
+  }
+}
+
+// ---- The traced run ----
+// Its drain chain: [pipeline] → [archive tee] → the analysis feed (live
+// mode) or the TraceLog packer (capture mode).  Synchronously the chain
+// runs inside each drain; pipelined it runs on a consumer thread while the
+// machine simulates ahead.  Either way it sees the identical chunk
+// sequence and boundaries, so every output is bit-identical.  Members are
+// declared in teardown order: the pipeline goes first, so unwinding joins
+// the consumer thread before anything it touches is destroyed.
+struct TracedRun {
+  TracedRun() = default;
+  // The drain chain captures this object's address.
+  TracedRun(const TracedRun&) = delete;
+  TracedRun& operator=(const TracedRun&) = delete;
+
+  TraceLog trace_log;
+  // Durable capture tee (ExperimentOptions::archive_path).
+  std::unique_ptr<ArchiveWriter> archive;
+  // In pipelined live mode the parser runs on the consumer thread, so it
+  // records its Feed phases into this private recorder (no cycle source —
+  // the traced machine's cycle counter belongs to the producer thread),
+  // absorbed into the shared timeline after the pipeline drains.
+  std::unique_ptr<EventRecorder> consumer_events;
+  uint64_t consumer_epoch_us = 0;
+  std::unique_ptr<TracePipeline> pipeline;
+  uint64_t wall_us = 0;
+
+  void Run(SystemInstance& traced, Analysis& analysis, const WorkloadSpec& workload,
+           const ExperimentOptions& options, EventRecorder* events);
+  void RegisterStats(StatsRegistry& registry, bool capture);
+};
+
+void TracedRun::Run(SystemInstance& traced, Analysis& analysis, const WorkloadSpec& workload,
+                    const ExperimentOptions& options, EventRecorder* events) {
+  std::function<void(const uint32_t*, size_t)> consume;
+  if (analysis.capture()) {
+    consume = [this](const uint32_t* words, size_t count) { trace_log.Append(words, count); };
+    analysis.SetEventRecorder(events);  // The post-run feed runs on this thread.
+  } else {
+    consume = [&analysis](const uint32_t* words, size_t count) { analysis.Feed(words, count); };
+    if (options.pipeline) {
+      consumer_events = std::make_unique<EventRecorder>();
+      consumer_epoch_us = events->ElapsedUs();
+    }
+    analysis.SetEventRecorder(options.pipeline ? consumer_events.get() : events);
+  }
+  if (!options.archive_path.empty()) {
+    archive = std::make_unique<ArchiveWriter>(options.archive_path,
+                                              HarnessArchiveMeta(workload, options));
+    consume = [w = archive.get(), inner = std::move(consume)](const uint32_t* words,
+                                                              size_t count) {
+      w->Append(words, count);
+      inner(words, count);
+    };
+  }
+  if (options.pipeline) {
+    pipeline = std::make_unique<TracePipeline>(std::move(consume), options.pipeline_depth);
+    traced.SetTraceSink([p = pipeline.get()](const uint32_t* words, size_t count) {
+      p->Produce(words, count);
+    });
+  } else {
+    traced.SetTraceSink(std::move(consume));
+  }
+
+  events->SetCycleSource([machine = &traced.machine()] { return machine->cycles(); });
+  RunResult run;
+  uint64_t wall0 = WallNowUs();
+  {
+    EventRecorder::Scope scope(events, "run.traced", "run");
+    run = traced.Run(options.max_instructions);
+  }
+  wall_us = WallNowUs() - wall0;
+  if (!run.halted) {
+    throw Error(StrFormat("traced run of '%s' did not halt (pc=0x%08x)", workload.name.c_str(),
+                          traced.machine().pc()));
+  }
+  if (pipeline != nullptr) {
+    // Drain the ring and join the consumer; rethrows anything the
+    // parser/sink chain threw mid-stream.
+    pipeline->Finish();
+  }
+  if (archive != nullptr) {
+    // Every chunk is on disk; seal the directory footer.  A crash before
+    // this point leaves a footerless archive the reader recovers by scan.
+    archive->Finalize();
+  }
+}
+
+void TracedRun::RegisterStats(StatsRegistry& registry, bool capture) {
+  if (capture) {
+    trace_log.RegisterStats(registry, "tracelog.");
+  }
+  if (archive != nullptr) {
+    archive->RegisterStats(registry, "archive.");
+  }
+  if (pipeline != nullptr) {
+    pipeline->RegisterStats(registry, "trace.pipeline.");
+  }
+}
+
 }  // namespace
 
 const char* PersonalityName(Personality personality) {
@@ -249,421 +647,43 @@ ExperimentResult RunExperiment(const WorkloadSpec& workload, const ExperimentOpt
   EventRecorder* events = options.events != nullptr ? options.events : &local_events;
   events->Begin("experiment:" + workload.name, "experiment");
 
-  // ---- Measured: the uninstrumented system with the hardware timer ----
-  // Built on this thread either way: the traced side only needs the
-  // measured *build* outputs (page layouts, original binaries), all of
-  // which are immutable once BuildSystem returns, so with parallel_pair
-  // the measured *run* can overlap the whole traced half on a helper
-  // thread.
-  std::unique_ptr<SystemInstance> measured;
-  {
-    EventRecorder::Scope scope(events, "build.measured", "build");
-    measured = BuildSystem(MakeConfig(workload, options, false, events));
-  }
-  auto [idle_lo, idle_hi] = measured->IdleRange();
-  measured->machine().SetIdleRange(idle_lo, idle_hi);
+  MeasuredRun measured(workload, options, events);
+  measured.Start(result);
 
-  uint64_t measured_run_wall_us = 0;
-  uint64_t traced_run_wall_us = 0;
-  // Runs the measured system and fills the measured-side result fields.
-  // `ev` is this side's recorder: the shared one when serial, a private
-  // one when the pair is overlapped (merged back below).
-  auto run_measured = [&](EventRecorder* ev) {
-    ev->SetCycleSource([machine = &measured->machine()] { return machine->cycles(); });
-    RunResult mr;
-    uint64_t wall0 = WallNowUs();
-    {
-      EventRecorder::Scope scope(ev, "run.measured", "run");
-      mr = measured->Run(options.max_instructions);
-    }
-    measured_run_wall_us = WallNowUs() - wall0;
-    if (!mr.halted) {
-      throw Error(StrFormat("measured run of '%s' did not halt (pc=0x%08x)",
-                            workload.name.c_str(), measured->machine().pc()));
-    }
-    result.measured_cycles = measured->ProcessCycles(1);
-    result.measured_utlb = measured->UtlbMissCount();
-    result.measured_idle_instructions = measured->machine().idle_instructions();
-    result.measured_tlbdropins = measured->TlbDropins();
-    result.measured_user_instructions = measured->machine().user_instructions();
-    result.exit_code = measured->ProcessExitCode(1);
-  };
-
-  EventRecorder measured_events;
-  uint64_t measured_epoch_us = 0;
-  std::exception_ptr measured_exc;
-  std::thread measured_thread;
-  if (options.parallel_pair) {
-    measured_epoch_us = events->ElapsedUs();
-    measured_thread = std::thread([&] {
-      try {
-        run_measured(&measured_events);
-      } catch (...) {
-        measured_exc = std::current_exception();
-      }
-    });
-  } else {
-    run_measured(events);
-  }
-
-  // ---- Predicted: the traced system driving the analysis program ----
-  // Two analysis modes, bit-identical by construction:
-  //   * live (default): the parser consumes each drain during the traced
-  //     run and feeds the simulator in batches (or per-ref when
-  //     options.batch is off);
-  //   * capture-replay: the drains are captured into a packed TraceLog and
-  //     the analysis — primary config plus every ReplayVariant — replays
-  //     the capture after the run (one parse, K cheap replays).
+  // The traced run driving the analysis.  The analysis is declared before
+  // the traced run's drain chain, whose pipeline consumer thread feeds it.
   std::unique_ptr<SystemInstance> traced;
-  std::unique_ptr<TraceParser> parser;
-  TraceLog trace_log;
-  std::unique_ptr<ReplayEngine> engine;
-  std::unique_ptr<TraceProfiler> profiler;
-  std::unique_ptr<TeeBatchSink> tee;
-  if (options.profile) {
-    profiler = std::make_unique<TraceProfiler>(options.profile_options);
-  }
-  PredictorConfig pconfig;
-  pconfig.dilation = options.dilation;
-  // Page mapping (paper §4.2): the simulator implements the policy.  Under
-  // the deterministic policy this reproduces the measured run's map; under
-  // Mach's random policy it is *a* mapping with the right distribution but
-  // different draws — the repeatability problem the paper reports.
-  if (options.personality == Personality::kMach) {
-    pconfig.page_map = measured->PageMap(13);  // Different permutation draw.
-  } else {
-    pconfig.page_map = measured->PageMap();
-  }
-  TraceDrivenSimulator simulator(pconfig);
-
-  // Partition the replay variants: with the sweep active, geometry-only
-  // variants are priced by the single-pass sweep engine; the rest fan out
-  // to real replays.  The sweep engine's families are widened to cover
-  // every absorbed geometry, and its construction rejects non-power-of-two
-  // family specs with a diagnostic naming the offending size.
-  const bool sweep_active = options.sweep.Active();
-  std::vector<ReplayVariant> replayed_variants;
-  std::vector<bool> variant_swept(options.replay_variants.size(), false);
-  std::unique_ptr<SweepEngine> sweep_engine;
-  if (sweep_active) {
-    SweepConfig sweep_config;
-    sweep_config.base = pconfig.memsys;
-    sweep_config.page_map = pconfig.page_map;
-    sweep_config.tlb_wired = pconfig.tlb_wired;
-    sweep_config.icache = options.sweep.icache;
-    sweep_config.dcache = options.sweep.dcache;
-    sweep_config.tlb_max_entries = options.sweep.tlb_max_entries;
-    for (size_t i = 0; i < options.replay_variants.size(); ++i) {
-      const ReplayVariant& v = options.replay_variants[i];
-      if (GeometryOnly(v, pconfig)) {
-        variant_swept[i] = true;
-        CoverFamilyPoint(sweep_config.icache, v.memsys.icache.line_bytes,
-                         v.memsys.icache.size_bytes);
-        CoverFamilyPoint(sweep_config.dcache, v.memsys.dcache.line_bytes,
-                         v.memsys.dcache.size_bytes);
-      } else {
-        replayed_variants.push_back(v);
-      }
-    }
-    sweep_engine = std::make_unique<SweepEngine>(sweep_config);
-  } else {
-    replayed_variants = options.replay_variants;
-  }
-  // Capture only when something actually replays: when the sweep absorbs
-  // every variant the analysis (and the sweep with it) can stay live.
-  const bool capture = options.capture_replay || !replayed_variants.empty();
-  // Durable capture tee (ExperimentOptions::archive_path): rides the chunk
-  // consumer in every transport mode.  Declared before the pipeline so
-  // unwinding joins the consumer thread before the writer is destroyed.
-  std::unique_ptr<ArchiveWriter> archive;
-  // Pipelined transport state.  Declared after every component the consumer
-  // thread touches (parser, simulator, profiler, tee, trace_log, archive),
-  // so stack unwinding joins the consumer before any of them is destroyed.
-  // In pipelined live mode the parser runs on the consumer thread, so it
-  // records its Feed phases into a private recorder (no cycle source — the
-  // traced machine's cycle counter belongs to the producer thread) that is
-  // absorbed into the shared timeline after the pipeline drains.
-  std::unique_ptr<EventRecorder> consumer_events;
-  uint64_t consumer_epoch_us = 0;
-  std::unique_ptr<TracePipeline> pipeline;
+  std::unique_ptr<Analysis> analysis;
+  TracedRun traced_run;
   std::exception_ptr traced_exc;
-  // Outcomes of the real (non-swept) replays, merged back into
-  // result.replays in the caller's variant order after the primary
-  // prediction is finalized.
-  std::vector<ReplayVariantResult> replay_results;
-  uint64_t sweep_outcome_wall_us = 0;
   try {
-    // Original binaries, for the pixie-style arithmetic-stall estimate.
-    simulator.AddTextImage(measured->kernel_exe());
-    simulator.AddTextImage(measured->workload_orig());
-
     {
       EventRecorder::Scope scope(events, "build.traced", "build");
       traced = BuildSystem(MakeConfig(workload, options, true, events));
     }
-
-    if (profiler != nullptr) {
-      // Same tables the parser resolves keys against; symbols from the
-      // original images (the address space the reconstructed refs live in).
-      profiler->AddTable(kKernelPid, &traced->kernel_table());
-      profiler->AddTable(1, &traced->user_table());
-      profiler->AddSymbols(kKernelPid, traced->kernel_orig());
-      profiler->AddSymbols(1, measured->workload_orig());
-      profiler->SetSpaceName(1, workload.name);
-      if (options.personality == Personality::kMach) {
-        profiler->AddTable(2, &traced->server_table());
-        profiler->AddSymbols(2, traced->server_orig());
-        profiler->SetSpaceName(2, "server");
-      }
+    analysis = std::make_unique<Analysis>(workload, options, measured.system(), *traced);
+    traced_run.Run(*traced, *analysis, workload, options, events);
+    if (analysis->capture()) {
+      // One parse of the capture through the same analysis a live run
+      // feeds, with chunk-parallel decode when the pipeline is on.
+      EventRecorder::Scope scope(events, "replay:" + workload.name, "analysis");
+      const TraceLog& log = traced_run.trace_log;
+      log.ReplayParallel(options.pipeline ? PipelineDecodeWorkers() : 1,
+                         [&analysis](const uint32_t* words, size_t count) {
+                           analysis->Feed(words, count);
+                         });
+      result.trace_log_words = log.words();
+      result.trace_log_bytes = log.stored_bytes();
+      result.trace_compression = log.CompressionRatio();
     }
-
-    // The chunk consumer: the TraceLog packer (capture mode) or the parser
-    // feeding the analysis chain (live mode).  Synchronously it runs inside
-    // each drain; pipelined it runs on the consumer thread while the
-    // machine simulates ahead.  Either way it sees the identical chunk
-    // sequence and boundaries, so every output is bit-identical.
-    std::function<void(const uint32_t*, size_t)> consume;
-    if (capture) {
-      consume = [&trace_log](const uint32_t* words, size_t count) {
-        trace_log.Append(words, count);
-      };
-    } else {
-      parser = std::make_unique<TraceParser>(&traced->kernel_table());
-      parser->SetUserTable(1, &traced->user_table());
-      if (options.personality == Personality::kMach) {
-        parser->SetUserTable(2, &traced->server_table());
-      }
-      parser->SetInitialContext(kKernelPid);
-      std::vector<RefBatchSink*> live_sinks{&simulator};
-      if (profiler != nullptr) {
-        live_sinks.push_back(profiler.get());
-      }
-      if (sweep_engine != nullptr) {
-        live_sinks.push_back(sweep_engine.get());
-      }
-      if (options.batch) {
-        if (live_sinks.size() > 1) {
-          tee = std::make_unique<TeeBatchSink>(live_sinks);
-          parser->SetBatchSink(tee.get());
-        } else {
-          parser->SetBatchSink(&simulator);
-        }
-      } else if (live_sinks.size() > 1) {
-        parser->SetRefSink([&simulator, prof = profiler.get(),
-                            sweep = sweep_engine.get()](const TraceRef& ref) {
-          simulator.OnRef(ref);
-          if (prof != nullptr) {
-            prof->OnRef(ref);
-          }
-          if (sweep != nullptr) {
-            sweep->OnRef(ref);
-          }
-        });
-      } else {
-        parser->SetRefSink([&simulator](const TraceRef& ref) { simulator.OnRef(ref); });
-      }
-      if (options.pipeline) {
-        consumer_events = std::make_unique<EventRecorder>();
-        consumer_epoch_us = events->ElapsedUs();
-        parser->SetEventRecorder(consumer_events.get());
-      } else {
-        parser->SetEventRecorder(events);
-      }
-      consume = [&parser](const uint32_t* words, size_t count) { parser->Feed(words, count); };
-    }
-    if (!options.archive_path.empty()) {
-      // Harness identity keys first, caller extras after; MetaValue returns
-      // the first match, so the harness's own identity is authoritative.
-      ArchiveMeta meta;
-      meta.emplace_back("workload", workload.name);
-      meta.emplace_back("personality", PersonalityName(options.personality));
-      meta.emplace_back("clock_period", std::to_string(options.clock_period));
-      meta.emplace_back("dilation", StrFormat("%.17g", options.dilation));
-      meta.emplace_back("trace_buf_bytes", std::to_string(options.trace_buf_bytes));
-      meta.emplace_back("scavenge", options.scavenge ? "1" : "0");
-      meta.emplace_back("max_instructions", std::to_string(options.max_instructions));
-      meta.insert(meta.end(), options.archive_meta.begin(), options.archive_meta.end());
-      archive = std::make_unique<ArchiveWriter>(options.archive_path, meta);
-      consume = [w = archive.get(),
-                 inner = std::move(consume)](const uint32_t* words, size_t count) {
-        w->Append(words, count);
-        inner(words, count);
-      };
-    }
-    if (options.pipeline) {
-      pipeline = std::make_unique<TracePipeline>(std::move(consume), options.pipeline_depth);
-      traced->SetTraceSink([p = pipeline.get()](const uint32_t* words, size_t count) {
-        p->Produce(words, count);
-      });
-    } else {
-      traced->SetTraceSink(std::move(consume));
-    }
-
-    events->SetCycleSource([machine = &traced->machine()] { return machine->cycles(); });
-    RunResult tr;
-    uint64_t wall0 = WallNowUs();
-    {
-      EventRecorder::Scope scope(events, "run.traced", "run");
-      tr = traced->Run(options.max_instructions);
-    }
-    traced_run_wall_us = WallNowUs() - wall0;
-    if (!tr.halted) {
-      throw Error(StrFormat("traced run of '%s' did not halt (pc=0x%08x)", workload.name.c_str(),
-                            traced->machine().pc()));
-    }
-    if (pipeline != nullptr) {
-      // Drain the ring and join the consumer; rethrows anything the
-      // parser/sink chain threw mid-stream.
-      pipeline->Finish();
-    }
-    if (archive != nullptr) {
-      // Every chunk is on disk; seal the directory footer.  A crash before
-      // this point leaves a footerless archive the reader recovers by scan.
-      archive->Finalize();
-    }
-    if (capture) {
-      // Parse the capture once; fan the batch stream out to the primary
-      // analysis chain and every variant.  Variants are cheap replays of
-      // the same materialized stream, not traced machine runs.
-      ReplaySource source;
-      source.log = &trace_log;
-      source.kernel_table = &traced->kernel_table();
-      source.user_tables.emplace_back(1, &traced->user_table());
-      if (options.personality == Personality::kMach) {
-        source.user_tables.emplace_back(2, &traced->server_table());
-      }
-      engine = std::make_unique<ReplayEngine>(std::move(source));
-      std::vector<ReplayEngine::Config> configs;
-      configs.push_back({"primary", [&simulator] {
-                           return std::make_unique<BorrowedSink>(&simulator);
-                         }});
-      if (profiler != nullptr) {
-        // The profiler rides the fan-out as one more cheap replay of the
-        // materialized stream — appended first so variant harvesting below
-        // can skip it by name-independent position.
-        configs.push_back({"profile", [prof = profiler.get()] {
-                             return std::make_unique<BorrowedSink>(prof);
-                           }});
-      }
-      if (sweep_engine != nullptr) {
-        // The whole family rides the fan-out as ONE extra pass over the
-        // materialized stream, whatever the family's size.
-        configs.push_back({"sweep", [sweep = sweep_engine.get()] {
-                             return std::make_unique<BorrowedSink>(sweep);
-                           }});
-      }
-      const size_t variant_begin =
-          1 + (profiler != nullptr ? 1 : 0) + (sweep_engine != nullptr ? 1 : 0);
-      for (const ReplayVariant& variant : replayed_variants) {
-        PredictorConfig vconfig = pconfig;
-        vconfig.memsys = variant.memsys;
-        vconfig.tlb_wired = variant.tlb_wired;
-        if (variant.page_map_mult != 0) {
-          vconfig.page_map = measured->PageMap(variant.page_map_mult);
-        }
-        configs.push_back({variant.name, [vconfig, &measured] {
-                             auto sim = std::make_unique<TraceDrivenSimulator>(vconfig);
-                             sim->AddTextImage(measured->kernel_exe());
-                             sim->AddTextImage(measured->workload_orig());
-                             return sim;
-                           }});
-      }
-      ReplayEngine::Options ropts;
-      ropts.batch = options.batch;
-      ropts.decode_workers = options.pipeline ? PipelineDecodeWorkers() : 1;
-      ropts.events = events;
-      {
-        EventRecorder::Scope scope(events, "replay:" + workload.name, "analysis");
-        std::vector<ReplayEngine::Outcome> outcomes = engine->Run(configs, ropts);
-        const size_t sweep_idx =
-            sweep_engine != nullptr ? 1 + (profiler != nullptr ? 1 : 0) : outcomes.size();
-        if (sweep_idx < outcomes.size()) {
-          sweep_outcome_wall_us = outcomes[sweep_idx].wall_us;
-        }
-        for (size_t i = variant_begin; i < outcomes.size(); ++i) {
-          auto* sim = static_cast<TraceDrivenSimulator*>(outcomes[i].sink.get());
-          ReplayVariantResult vr;
-          vr.name = outcomes[i].name;
-          vr.prediction = sim->Finish();
-          vr.tlb = sim->tlb().stats();
-          vr.refs = outcomes[i].refs;
-          vr.wall_us = outcomes[i].wall_us;
-          replay_results.push_back(std::move(vr));
-        }
-        if (sweep_engine != nullptr) {
-          // The replay throughput metric counts only real replays: the
-          // sweep pass's equivalent-replay rate is sweep_mrefs_per_sec.
-          uint64_t replay_refs = 0;
-          uint64_t replay_wall_us = 0;
-          for (size_t i = 0; i < outcomes.size(); ++i) {
-            if (i == sweep_idx) {
-              continue;
-            }
-            replay_refs += outcomes[i].refs;
-            replay_wall_us += outcomes[i].wall_us;
-          }
-          result.replay_mrefs_per_sec =
-              replay_wall_us > 0
-                  ? static_cast<double>(replay_refs) / static_cast<double>(replay_wall_us)
-                  : 0.0;
-        } else {
-          result.replay_mrefs_per_sec = engine->mrefs_per_sec();
-        }
-      }
-      result.parser_errors = engine->parser_stats().validation_errors;
-      result.trace_log_words = trace_log.words();
-      result.trace_log_bytes = trace_log.stored_bytes();
-      result.trace_compression = trace_log.CompressionRatio();
-    } else {
-      parser->Finish();
-      result.parser_errors = parser->stats().validation_errors;
-    }
-    if (profiler != nullptr) {
-      result.profile = profiler->Finish();
-    }
-    result.prediction = simulator.Finish();
-    if (sweep_engine != nullptr) {
-      result.sweep = sweep_engine->Finish();
-      result.sweep.wall_us = sweep_outcome_wall_us;
-      result.sweep_ran = true;
-      if (sweep_outcome_wall_us > 0) {
-        // Equivalent-replay throughput: one pass priced `family_points`
-        // configurations of `refs` references each.
-        result.sweep_mrefs_per_sec =
-            static_cast<double>(result.sweep.family_points) *
-            static_cast<double>(result.sweep.refs) / static_cast<double>(sweep_outcome_wall_us);
-      }
-    }
-    // Merge the variant results back in the caller's order: swept variants
-    // carry exact miss counts from the shared pass and derived timing,
-    // replayed ones their own simulator's numbers.
-    size_t replayed_idx = 0;
-    for (size_t i = 0; i < options.replay_variants.size(); ++i) {
-      const ReplayVariant& v = options.replay_variants[i];
-      if (variant_swept[i]) {
-        ReplayVariantResult vr;
-        vr.name = v.name;
-        vr.prediction = sweep_engine->DerivePrediction(result.prediction, v.memsys);
-        vr.tlb = sweep_engine->tlb_stats();
-        vr.refs = result.sweep.refs;
-        vr.swept = true;
-        result.replays.push_back(std::move(vr));
-      } else {
-        result.replays.push_back(std::move(replay_results[replayed_idx++]));
-      }
-    }
+    analysis->Finish(result);
     result.traced_machine_instructions = traced->machine().instructions();
     result.trace_words = traced->trace_words_drained();
     result.analysis_switches = traced->AnalysisSwitches();
   } catch (...) {
     traced_exc = std::current_exception();
   }
-  if (measured_thread.joinable()) {
-    measured_thread.join();
-  }
-  if (measured_exc != nullptr) {
-    std::rethrow_exception(measured_exc);
-  }
+  measured.Join();  // A measured-side failure takes precedence.
   if (traced_exc != nullptr) {
     std::rethrow_exception(traced_exc);
   }
@@ -672,43 +692,24 @@ ExperimentResult RunExperiment(const WorkloadSpec& workload, const ExperimentOpt
     throw Error(StrFormat("'%s': traced exit code %u != measured %u — tracing distorted behavior",
                           workload.name.c_str(), traced->ProcessExitCode(1), result.exit_code));
   }
-  result.run_wall_us = measured_run_wall_us + traced_run_wall_us;
+  result.run_wall_us = measured.run_wall_us() + traced_run.wall_us;
   result.simulated_instructions =
-      measured->machine().instructions() + traced->machine().instructions();
+      measured.system().machine().instructions() + traced->machine().instructions();
 
   // ---- Registry snapshot across every layer of both runs ----
   // Must happen before the SystemInstances go out of scope: the registry
   // bindings point into them.
   StatsRegistry registry;
-  measured->RegisterStats(registry, "measured.");
+  measured.system().RegisterStats(registry, "measured.");
   traced->RegisterStats(registry, "traced.");
-  if (capture) {
-    engine->RegisterParserStats(registry, "parser.");
-    engine->RegisterStats(registry, "replay.");
-    trace_log.RegisterStats(registry, "tracelog.");
-  } else {
-    parser->RegisterStats(registry, "parser.");
-  }
-  if (archive != nullptr) {
-    archive->RegisterStats(registry, "archive.");
-  }
-  simulator.RegisterStats(registry, "predicted.");
-  if (sweep_engine != nullptr) {
-    sweep_engine->RegisterStats(registry, "sweep.");
-  }
-  if (pipeline != nullptr) {
-    pipeline->RegisterStats(registry, "trace.pipeline.");
-  }
+  analysis->RegisterStats(registry);
+  traced_run.RegisterStats(registry, analysis->capture());
   result.stats = registry.Snapshot();
-  if (options.parallel_pair) {
-    // Fold the helper thread's run.measured phase back into the shared
-    // timeline at its true wall offset.
-    events->Absorb(measured_events.TakeEvents(), measured_epoch_us, /*depth_offset=*/1);
-  }
-  if (consumer_events != nullptr) {
+  if (traced_run.consumer_events != nullptr) {
     // Fold the consumer thread's parser phases back in at their true wall
     // offset (nested under the experiment scope, like the measured half).
-    events->Absorb(consumer_events->TakeEvents(), consumer_epoch_us, /*depth_offset=*/1);
+    events->Absorb(traced_run.consumer_events->TakeEvents(), traced_run.consumer_epoch_us,
+                   /*depth_offset=*/1);
   }
   events->End();  // experiment:<name>
   events->SetCycleSource(nullptr);

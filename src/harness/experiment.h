@@ -2,6 +2,14 @@
 // uninstrumented on the timing machine (*measured*) and instrumented with
 // the trace feeding the analysis program (*predicted*) — and compare.
 //
+// RunExperiment is three steps: the measured run, the traced run, and one
+// analysis — a single parser feeding a single TeeBatchSink over every sink
+// the options ask for (primary simulator, profiler, sweep engine, one
+// simulator per non-swept variant).  In live mode the traced run's drains
+// feed that analysis as they arrive; in capture mode they are packed into a
+// TraceLog and replayed through the same analysis after the run.  The two
+// modes differ only in where the drains go.
+//
 //   Table 2 / Figure 3: execution times, measured vs predicted
 //   Table 3:            user TLB miss counts, measured vs predicted
 #ifndef WRLTRACE_HARNESS_EXPERIMENT_H_
@@ -31,9 +39,9 @@ const char* PersonalityName(Personality personality);
 Personality PersonalityFromName(const std::string& name);
 
 // One extra analysis configuration of a capture-once / replay-many sweep:
-// after the primary analysis replays the captured trace, each variant
-// replays the identical stream with its own cache geometry, TLB wiring,
-// and page-map draw — no additional traced machine run.
+// each variant analyzes the identical captured stream with its own cache
+// geometry, TLB wiring, and page-map draw — no additional traced machine
+// run.
 struct ReplayVariant {
   std::string name;
   MemSysConfig memsys;
@@ -47,6 +55,8 @@ struct ReplayVariantResult {
   Prediction prediction;
   TlbSimStats tlb;
   uint64_t refs = 0;
+  // Host time inside this variant's simulator (capture mode, replayed
+  // variants only).
   uint64_t wall_us = 0;
   // Priced by the single-pass sweep engine instead of a dedicated replay
   // (exact miss counts, derived timing — see DESIGN.md §13).
@@ -54,13 +64,13 @@ struct ReplayVariantResult {
 };
 
 // Single-pass sweep configuration (src/sweep).  When active, one
-// SweepEngine pass rides the analysis stream — live behind the parser or
-// as one more replay config in capture mode — and (a) prices the explicit
+// SweepEngine rides the analysis tee as one more sink and (a) prices the
+// explicit
 // cache families and TLB curve below, and (b) absorbs every *geometry-only*
 // ReplayVariant (same penalties, write buffer, TLB wiring, and page map as
 // the primary; power-of-two cache geometry): those variants get exact miss
 // counts from the shared pass and derived timing instead of a dedicated
-// replay.  Non-sweepable variants still fan out to real replays.
+// replay.  Non-sweepable variants each get their own simulator on the tee.
 struct SweepOptions {
   // Activates the sweep even with no explicit families (it then covers
   // only the geometry-only replay variants and/or the TLB curve).
@@ -104,16 +114,12 @@ struct ExperimentOptions {
   // a second thread while this thread builds and runs the traced system.
   // All result fields and metrics are unchanged; only wall time shrinks.
   bool parallel_pair = false;
-  // Batched parser→analysis reference delivery (the default; WRL_BATCH=0 in
-  // the environment, or batch=false here, forces the per-ref std::function
-  // path).  Every counter and predicted number is identical either way.
-  bool batch = BatchRefsEnabled();
   // Pipelined trace transport: drained chunks flow through a bounded SPSC
   // ring to a consumer thread that runs the parser + analysis sink chain
   // (live mode) or the TraceLog packer (capture mode), so the traced
   // machine keeps simulating while each drain is consumed
-  // (simulate ∥ parse ∥ analyze).  On the replay side the same option
-  // enables chunk-parallel TraceLog decode.  Defaults to on when the host
+  // (simulate ∥ parse ∥ analyze).  In capture mode the same option
+  // enables chunk-parallel TraceLog decode for the post-run analysis.  Defaults to on when the host
   // has more than one hardware thread; WRL_PIPELINE=0 forces the
   // synchronous path and WRL_PIPELINE=1 forces the pipeline even on
   // single-core hosts.  Every counter, trace word, profile, and report
@@ -125,15 +131,13 @@ struct ExperimentOptions {
   // Capture-once / replay-many: capture the traced run's drained words into
   // a packed TraceLog and run the analysis as a post-run replay of the
   // capture instead of live during the traced run.  Bit-identical results;
-  // implied by a non-empty replay_variants.
+  // implied by any replay variant the sweep cannot price.
   bool capture_replay = false;
-  // Extra analysis configurations replayed from the captured trace (each a
-  // cheap replay, not another traced machine run).  Replays run serially
-  // inside the experiment — RunSuite already parallelizes across workloads.
+  // Extra analysis configurations priced from the same trace (each one more
+  // sink on the analysis tee, not another traced machine run).
   std::vector<ReplayVariant> replay_variants;
   // Attribution profiling (src/prof): tee the reconstructed reference
-  // stream into a TraceProfiler — live behind the parser, or as one more
-  // replay config in capture mode — and return the finished Profile in
+  // stream into a TraceProfiler and return the finished Profile in
   // ExperimentResult::profile.  Bit-identical in every mode.
   bool profile = false;
   ProfileOptions profile_options;
@@ -186,22 +190,23 @@ struct ExperimentResult {
   uint64_t run_wall_us = 0;
   uint64_t simulated_instructions = 0;
 
-  // Capture-once / replay-many outputs (capture mode only; empty/zero when
-  // the analysis ran live).
+  // One result per ReplayVariant, in the caller's order.
   std::vector<ReplayVariantResult> replays;
+  // Capture outputs (capture mode only; zero when the analysis ran live).
   uint64_t trace_log_words = 0;
   uint64_t trace_log_bytes = 0;       // Stored (packed) bytes.
   double trace_compression = 0;       // raw_bytes / stored_bytes.
-  // Fan-out throughput of the real replays (the sweep pass is excluded —
-  // its throughput is sweep_mrefs_per_sec, counted per family point).
+  // Analysis throughput of every sink but the sweep engine: refs × sinks
+  // per wall-second spent inside them (the sweep's own throughput is
+  // sweep_mrefs_per_sec, counted per family point).
   double replay_mrefs_per_sec = 0;
 
   // Single-pass sweep outputs (sweep_ran only when SweepOptions::Active()).
   bool sweep_ran = false;
   SweepResult sweep;
   // Equivalent-replay throughput of the sweep pass: family points × refs
-  // per wall-second of the one pass (capture mode only — live-mode sweeps
-  // share the traced run's wall clock and report 0).
+  // per wall-second inside the sweep engine (capture mode only — live-mode
+  // sweeps share the traced run's wall clock and report 0).
   double sweep_mrefs_per_sec = 0;
 
   // The attribution profile (empty unless ExperimentOptions::profile).

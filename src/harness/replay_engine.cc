@@ -112,17 +112,10 @@ std::vector<ReplayEngine::Outcome> ReplayEngine::Run(const std::vector<Config>& 
     EventRecorder::Scope scope(events, "replay:" + configs[i].name, "replay");
     uint64_t wall0 = WallNowUs();
     out.sink = configs[i].make();
-    if (options.batch) {
-      size_t batch = options.batch_refs == 0 ? kRefBatchCapacity : options.batch_refs;
-      for (size_t off = 0; off < refs_.size(); off += batch) {
-        size_t count = std::min(batch, refs_.size() - off);
-        out.sink->OnRefBatch(refs_.data() + off, count);
-      }
-    } else {
-      // The per-ref compatibility path: same stream, one ref per delivery.
-      for (const TraceRef& ref : refs_) {
-        out.sink->OnRefBatch(&ref, 1);
-      }
+    size_t batch = options.batch_refs == 0 ? kRefBatchCapacity : options.batch_refs;
+    for (size_t off = 0; off < refs_.size(); off += batch) {
+      size_t count = std::min(batch, refs_.size() - off);
+      out.sink->OnRefBatch(refs_.data() + off, count);
     }
     out.refs = refs_.size();
     out.wall_us = WallNowUs() - wall0;
@@ -197,17 +190,7 @@ void ReplayEngine::RegisterStats(StatsRegistry& registry, const std::string& pre
 }
 
 void ReplayEngine::RegisterParserStats(StatsRegistry& registry, const std::string& prefix) {
-  registry.AddCounter(prefix + "words", &parser_stats_.words);
-  registry.AddCounter(prefix + "blocks", &parser_stats_.blocks);
-  registry.AddCounter(prefix + "refs", &parser_stats_.refs);
-  registry.AddCounter(prefix + "ifetches", &parser_stats_.ifetches);
-  registry.AddCounter(prefix + "loads", &parser_stats_.loads);
-  registry.AddCounter(prefix + "stores", &parser_stats_.stores);
-  registry.AddCounter(prefix + "kernel_ifetches", &parser_stats_.kernel_ifetches);
-  registry.AddCounter(prefix + "user_ifetches", &parser_stats_.user_ifetches);
-  registry.AddCounter(prefix + "idle_instructions", &parser_stats_.idle_instructions);
-  registry.AddCounter(prefix + "markers", &parser_stats_.markers);
-  registry.AddCounter(prefix + "validation_errors", &parser_stats_.validation_errors);
+  wrl::RegisterParserStats(registry, prefix, &parser_stats_);
 }
 
 }  // namespace wrl

@@ -13,10 +13,14 @@
 // traced run + one parse + K cheap replays.
 //
 // Bit-identity invariant: the materialized stream is exactly the sequence a
-// live per-ref sink would have seen, so every counter and predicted number
-// a replayed configuration produces matches the live path bit-for-bit.
-// Options::batch=false (or WRL_BATCH=0 in harnesses) delivers the same
-// stream one reference at a time for A/B verification.
+// live sink behind the parser would have seen, so every counter and
+// predicted number a replayed configuration produces matches the live path
+// bit-for-bit, whatever Options::batch_refs is.
+//
+// RunExperiment does not use the engine: its analysis streams the capture
+// through one parser and one TeeBatchSink without materializing it.  The
+// engine serves callers that replay one parse more than once (tlb_study's
+// fan-out and --check replays, `wrltrace replay`).
 #ifndef WRLTRACE_HARNESS_REPLAY_ENGINE_H_
 #define WRLTRACE_HARNESS_REPLAY_ENGINE_H_
 
@@ -85,8 +89,6 @@ class ReplayEngine {
     // Worker threads for the chunk-parallel TraceLog decode feeding the
     // single parse (only the first Run/Parse pays this; 1 = serial).
     unsigned decode_workers = 1;
-    // false = per-ref delivery (the WRL_BATCH=0 compatibility/A-B path).
-    bool batch = true;
     size_t batch_refs = kRefBatchCapacity;
     // When set, per-config timelines are absorbed here in config order
     // after the pool drains (deterministic regardless of scheduling).
@@ -98,14 +100,10 @@ class ReplayEngine {
   std::vector<Outcome> Run(const std::vector<Config>& configs, const Options& options);
   std::vector<Outcome> Run(const std::vector<Config>& configs);  // Default options.
 
-  // Aggregate throughput of the last Run(): references delivered across all
-  // configs per wall-second of the whole fan-out.
-  double mrefs_per_sec() const { return last_mrefs_per_sec_; }
-  uint64_t last_run_refs() const { return last_run_refs_; }
-  uint64_t last_run_wall_us() const { return last_run_wall_us_; }
-
-  // Binds replay-side metrics (materialized refs, last-run throughput) into
-  // `registry` under `prefix`; the engine must outlive snapshots.
+  // Binds replay-side metrics (materialized refs, last-run throughput:
+  // references delivered across all configs per wall-second of the whole
+  // fan-out) into `registry` under `prefix`; the engine must outlive
+  // snapshots.
   void RegisterStats(StatsRegistry& registry, const std::string& prefix = "replay.");
   // Binds the single parse's parser counters (same names the live path
   // registers) under `prefix`.

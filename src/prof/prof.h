@@ -4,8 +4,8 @@
 // The raw trace answers "how many references" (wrlstats counters); the
 // profiler answers "which code and which pages".  TraceProfiler is an
 // ordinary RefBatchSink, so it consumes the reconstructed reference stream
-// anywhere one exists — live behind the parser during a traced run, or as
-// a ReplayEngine config over a captured TraceLog — and both paths produce
+// anywhere one exists — behind the parser during a traced run, fed from a
+// captured TraceLog, or as a ReplayEngine config — and every path produces
 // bit-identical profiles (no wall clock, no floats, no iteration-order
 // dependence in the accumulated state).
 //

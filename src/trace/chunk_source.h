@@ -31,18 +31,17 @@ class TraceChunkSource {
   // Decodes one chunk (0-based capture order) into `out` (cleared first).
   virtual void DecodeChunk(size_t index, std::vector<uint32_t>& out) const = 0;
 
-  // Decodes the capture, invoking `sink` once per chunk in capture order.
-  // The default decodes through DecodeChunk; sources with a cheaper path
-  // (e.g. an unpacked TraceLog handing out its own storage) override it.
-  virtual void Replay(const std::function<void(const uint32_t*, size_t)>& sink) const;
+  // Decodes the capture through DecodeChunk, invoking `sink` once per chunk
+  // in capture order.
+  void Replay(const std::function<void(const uint32_t*, size_t)>& sink) const;
 
   // Chunk-parallel decode: up to `workers` threads decode chunks
   // concurrently while the calling thread invokes `sink` once per chunk in
   // strict capture order — the identical delivery Replay() makes.
   // In-flight decoded chunks are bounded, so memory stays O(workers), not
   // O(capture).  workers <= 1 or a single-chunk source degrade to Replay().
-  virtual void ReplayParallel(unsigned workers,
-                              const std::function<void(const uint32_t*, size_t)>& sink) const;
+  void ReplayParallel(unsigned workers,
+                      const std::function<void(const uint32_t*, size_t)>& sink) const;
 
   // The whole capture as one flat word vector.
   std::vector<uint32_t> Words() const;

@@ -78,9 +78,6 @@ void TraceParser::EmitRef(const TraceRef& ref) {
       FlushBatch();
     }
   }
-  if (ref_sink_) {
-    ref_sink_(ref);
-  }
 }
 
 void TraceParser::SetBatchSink(RefBatchSink* sink, size_t batch_refs) {
@@ -278,18 +275,23 @@ void TraceParser::Finish() {
   }
 }
 
+void RegisterParserStats(StatsRegistry& registry, const std::string& prefix,
+                         TraceParserStats* stats) {
+  registry.AddCounter(prefix + "words", &stats->words);
+  registry.AddCounter(prefix + "blocks", &stats->blocks);
+  registry.AddCounter(prefix + "refs", &stats->refs);
+  registry.AddCounter(prefix + "ifetches", &stats->ifetches);
+  registry.AddCounter(prefix + "loads", &stats->loads);
+  registry.AddCounter(prefix + "stores", &stats->stores);
+  registry.AddCounter(prefix + "kernel_ifetches", &stats->kernel_ifetches);
+  registry.AddCounter(prefix + "user_ifetches", &stats->user_ifetches);
+  registry.AddCounter(prefix + "idle_instructions", &stats->idle_instructions);
+  registry.AddCounter(prefix + "markers", &stats->markers);
+  registry.AddCounter(prefix + "validation_errors", &stats->validation_errors);
+}
+
 void TraceParser::RegisterStats(StatsRegistry& registry, const std::string& prefix) {
-  registry.AddCounter(prefix + "words", &stats_.words);
-  registry.AddCounter(prefix + "blocks", &stats_.blocks);
-  registry.AddCounter(prefix + "refs", &stats_.refs);
-  registry.AddCounter(prefix + "ifetches", &stats_.ifetches);
-  registry.AddCounter(prefix + "loads", &stats_.loads);
-  registry.AddCounter(prefix + "stores", &stats_.stores);
-  registry.AddCounter(prefix + "kernel_ifetches", &stats_.kernel_ifetches);
-  registry.AddCounter(prefix + "user_ifetches", &stats_.user_ifetches);
-  registry.AddCounter(prefix + "idle_instructions", &stats_.idle_instructions);
-  registry.AddCounter(prefix + "markers", &stats_.markers);
-  registry.AddCounter(prefix + "validation_errors", &stats_.validation_errors);
+  RegisterParserStats(registry, prefix, &stats_);
 }
 
 }  // namespace wrl

@@ -23,9 +23,9 @@
 #ifndef WRLTRACE_TRACE_PARSER_H_
 #define WRLTRACE_TRACE_PARSER_H_
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
@@ -91,9 +91,8 @@ constexpr uint8_t kKernelPid = 0xff;
 // Batch delivery amortizes that: references accumulate in a dense buffer
 // and consumers receive ~4K at a time through this typed interface, paying
 // one virtual call per batch and iterating a contiguous array in their own
-// tight loop.  The per-ref std::function sink remains as a compatibility
-// shim (and as the WRL_BATCH=0 A/B reference path); both deliver the
-// identical reference sequence.
+// tight loop.  Batch boundaries carry no meaning: every consumer produces
+// identical results whatever the batch size, down to one ref per batch.
 constexpr size_t kRefBatchCapacity = 4096;
 
 class RefBatchSink {
@@ -118,27 +117,41 @@ class RefFnSink : public RefBatchSink {
 };
 
 // Fans one batch stream out to several consumers (e.g. a cache simulator
-// plus a profiler on the same live run).  Delivery order is the sink order
-// given at construction; each sink sees the identical batches.
+// plus a profiler on the same run).  Delivery order is the sink order given
+// at construction; each sink sees the identical batches.  Each sink's host
+// time is accumulated once per batch (two clock reads per sink per batch,
+// never per reference), so a caller can attribute analysis time per sink.
 class TeeBatchSink : public RefBatchSink {
  public:
-  explicit TeeBatchSink(std::vector<RefBatchSink*> sinks) : sinks_(std::move(sinks)) {}
+  explicit TeeBatchSink(std::vector<RefBatchSink*> sinks)
+      : sinks_(std::move(sinks)), wall_(sinks_.size()) {}
   void OnRefBatch(const TraceRef* refs, size_t count) override {
-    for (RefBatchSink* sink : sinks_) {
-      sink->OnRefBatch(refs, count);
+    for (size_t i = 0; i < sinks_.size(); ++i) {
+      auto start = std::chrono::steady_clock::now();
+      sinks_[i]->OnRefBatch(refs, count);
+      wall_[i] += std::chrono::steady_clock::now() - start;
     }
+    refs_ += count;
+  }
+
+  const std::vector<RefBatchSink*>& sinks() const { return sinks_; }
+  // References delivered to every sink so far.
+  uint64_t refs() const { return refs_; }
+  // Host wall time spent inside `sink` so far (0 for a sink not teed here).
+  uint64_t wall_us(const RefBatchSink* sink) const {
+    auto it = std::find(sinks_.begin(), sinks_.end(), sink);
+    if (it == sinks_.end()) {
+      return 0;
+    }
+    auto wall = std::chrono::duration_cast<std::chrono::microseconds>(wall_[it - sinks_.begin()]);
+    return static_cast<uint64_t>(wall.count());
   }
 
  private:
   std::vector<RefBatchSink*> sinks_;
+  std::vector<std::chrono::steady_clock::duration> wall_;
+  uint64_t refs_ = 0;
 };
-
-// Batched delivery is the default; WRL_BATCH=0 forces every harness onto
-// the per-ref slow path so the bit-identity invariant stays A/B-testable.
-inline bool BatchRefsEnabled() {
-  const char* env = std::getenv("WRL_BATCH");
-  return env == nullptr || std::strcmp(env, "0") != 0;
-}
 
 struct TraceParserStats {
   uint64_t words = 0;
@@ -154,17 +167,20 @@ struct TraceParserStats {
   uint64_t validation_errors = 0;
 };
 
+// Binds every field of `stats` into `registry` under `prefix`; `stats` must
+// outlive snapshots of the registry.
+void RegisterParserStats(StatsRegistry& registry, const std::string& prefix,
+                         TraceParserStats* stats);
+
 class TraceParser {
  public:
   // `kernel_table` may be null for user-only traces.
   explicit TraceParser(const TraceInfoTable* kernel_table);
 
   void SetUserTable(uint8_t pid, const TraceInfoTable* table);
-  void SetRefSink(std::function<void(const TraceRef&)> sink) { ref_sink_ = std::move(sink); }
-  // Batched delivery: references accumulate into fixed-size batches handed
-  // to `sink` (the same sequence SetRefSink would see, in the same order).
-  // Batches flush when full and at Finish(); call FlushBatch() to force an
-  // earlier flush.  Both sinks may be set at once (each gets every ref).
+  // Reference delivery: references accumulate into fixed-size batches
+  // handed to `sink` in trace order.  Batches flush when full and at
+  // Finish(); call FlushBatch() to force an earlier flush.
   void SetBatchSink(RefBatchSink* sink, size_t batch_refs = kRefBatchCapacity);
   // Delivers any buffered references to the batch sink now.
   void FlushBatch();
@@ -228,7 +244,6 @@ class TraceParser {
   bool expecting_operand_ = false;
   MarkerCode pending_marker_ = kMarkTraceOn;
 
-  std::function<void(const TraceRef&)> ref_sink_;
   RefBatchSink* batch_sink_ = nullptr;
   size_t batch_capacity_ = kRefBatchCapacity;
   std::vector<TraceRef> batch_;

@@ -48,6 +48,15 @@ uint64_t ReadU64(const uint8_t* p) {
   return static_cast<uint64_t>(ReadU32(p)) | static_cast<uint64_t>(ReadU32(p + 4)) << 32;
 }
 
+// Whether a chunk's framed word count is consistent with its payload size:
+// a raw payload holds exactly 4 bytes per word, and every packed word takes
+// at least one varint byte.  Checked (in 64 bits) before any decode, so a
+// hostile count can neither walk a decode past the payload nor size an
+// allocation beyond what the file itself holds.
+bool WordCountFits(uint64_t payload_bytes, uint64_t word_count, bool packed) {
+  return packed ? word_count <= payload_bytes : word_count * 4 == payload_bytes;
+}
+
 std::string SerializeMeta(const ArchiveMeta& meta) {
   JsonWriter writer(0);
   writer.BeginObject();
@@ -311,9 +320,11 @@ bool ArchiveReader::LoadFooter() {
     entry.payload_bytes = ReadU32(p + 8);
     entry.word_count = ReadU32(p + 12);
     entry.payload_crc = ReadU32(p + 16);
-    // Every entry must frame a chunk wholly inside the data region.
+    // Every entry must frame a chunk wholly inside the data region, with a
+    // word count its payload can hold.
     if (entry.offset < data_start_ ||
-        entry.offset + kChunkHeadBytes + entry.payload_bytes > fstart) {
+        entry.offset + kChunkHeadBytes + entry.payload_bytes > fstart ||
+        !WordCountFits(entry.payload_bytes, entry.word_count, packed_)) {
       return false;
     }
     payload_total += entry.payload_bytes;
@@ -376,6 +387,14 @@ void ArchiveReader::RecoverByScan(const std::string& reason) {
                              ": payload checksum mismatch; stopping");
       break;
     }
+    if (!WordCountFits(entry.payload_bytes, entry.word_count, packed_)) {
+      diagnostics_.push_back("chunk " + std::to_string(directory_.size()) + " at offset " +
+                             std::to_string(offset) + ": word count " +
+                             std::to_string(entry.word_count) + " does not fit its " +
+                             std::to_string(entry.payload_bytes) +
+                             "-byte payload; stopping");
+      break;
+    }
     directory_.push_back(entry);
     words_ += entry.word_count;
     payload_bytes_ += entry.payload_bytes;
@@ -395,13 +414,13 @@ void ArchiveReader::DecodeChunk(size_t index, std::vector<uint32_t>& out) const 
     throw Error("archive: '" + path_ + "' chunk " + std::to_string(index) +
                 " payload checksum mismatch (corrupt archive)");
   }
+  if (!WordCountFits(entry.payload_bytes, entry.word_count, packed_)) {
+    throw Error("archive: '" + path_ + "' chunk " + std::to_string(index) +
+                " payload size disagrees with its word count");
+  }
   out.clear();
   out.reserve(entry.word_count);
   if (!packed_) {
-    if (entry.payload_bytes != entry.word_count * 4) {
-      throw Error("archive: '" + path_ + "' chunk " + std::to_string(index) +
-                  " raw payload size disagrees with its word count");
-    }
     for (uint32_t i = 0; i < entry.word_count; ++i) {
       out.push_back(ReadU32(payload + static_cast<size_t>(i) * 4));
     }
@@ -454,16 +473,16 @@ bool ArchiveReader::Verify(std::vector<std::string>* findings) const {
       out.push_back("chunk " + std::to_string(i) + ": payload checksum mismatch");
       continue;
     }
+    if (!WordCountFits(entry.payload_bytes, entry.word_count, packed_)) {
+      out.push_back("chunk " + std::to_string(i) +
+                    ": payload size disagrees with its word count");
+      continue;
+    }
     buffer.clear();
     buffer.reserve(entry.word_count);
-    if (packed_) {
-      if (!codec::DecodeChunkBounded(payload, entry.payload_bytes, entry.word_count,
-                                     buffer)) {
-        out.push_back("chunk " + std::to_string(i) + ": payload does not decode cleanly");
-      }
-    } else if (entry.payload_bytes != entry.word_count * 4) {
-      out.push_back("chunk " + std::to_string(i) +
-                    ": raw payload size disagrees with its word count");
+    if (packed_ &&
+        !codec::DecodeChunkBounded(payload, entry.payload_bytes, entry.word_count, buffer)) {
+      out.push_back("chunk " + std::to_string(i) + ": payload does not decode cleanly");
     }
   }
   return out.size() == before;

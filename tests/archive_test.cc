@@ -7,6 +7,7 @@
 // the live run produced.
 #include <cstdint>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "harness/replay_engine.h"
 #include "kernel/system_build.h"
 #include "sim/predictor.h"
+#include "sim/tlb_sim.h"
 #include "support/error.h"
 #include "trace/chunk_codec.h"
 #include "trace/trace_archive.h"
@@ -313,6 +315,56 @@ TEST(ArchiveCorruption, CorruptDirectoryFallsBackToScan) {
   EXPECT_EQ(archive.Words(), AllWords(chunks));
 }
 
+// A one-chunk archive whose record header and footer directory both claim
+// 0x40000001 words, with every CRC recomputed.  In raw mode 0x40000001 * 4
+// wraps to 4 in 32 bits — exactly the real payload size — so a 32-bit size
+// check accepts it and the decode walks ~4 GiB past the mapping; in either
+// mode an unchecked count sizes a 16 GiB allocation.  The reader must
+// reject the count before decoding or reserving anything.
+TEST(ArchiveCorruption, HostileWordCountIsRejected) {
+  constexpr uint32_t kHostileWords = 0x40000001;
+  for (bool packed : {false, true}) {
+    SCOPED_TRACE(packed ? "packed" : "raw");
+    const std::string path = TempPath(packed ? "hostile_packed.wrl" : "hostile_raw.wrl");
+    WriteTestArchive(path, {{0x80001000}}, packed);
+    std::string bytes = ReadFileBytes(path);
+    auto put_u32 = [&bytes](size_t offset, uint32_t value) {
+      for (int i = 0; i < 4; ++i) {
+        bytes[offset + i] = static_cast<char>(value >> (8 * i));
+      }
+    };
+    auto crc = [&bytes](size_t offset, size_t size) {
+      return Crc32(reinterpret_cast<const uint8_t*>(bytes.data()) + offset, size);
+    };
+    const size_t chunk = ChunkOffset(bytes, 0);
+    ASSERT_EQ(FileU32(bytes, chunk + 8), 1u);  // The honest word count.
+    put_u32(chunk + 8, kHostileWords);
+    put_u32(chunk + 16, crc(chunk, 16));
+    // One-entry footer: fixed part (16) + directory entry (20) + CRC (4) +
+    // tail (12).
+    const size_t footer = bytes.size() - 52;
+    ASSERT_EQ(bytes.compare(footer, 4, "wrlf"), 0);
+    put_u32(footer + 8, kHostileWords);       // total_words (high half stays 0).
+    put_u32(footer + 16 + 12, kHostileWords);  // The entry's word_count.
+    put_u32(footer + 36, crc(footer, 36));
+    WriteFileBytes(path, bytes);
+
+    ArchiveReader archive(path);
+    EXPECT_TRUE(archive.degraded());
+    EXPECT_EQ(archive.chunk_count(), 0u);
+    EXPECT_EQ(archive.word_count(), 0u);
+    bool named = false;
+    for (const std::string& line : archive.diagnostics()) {
+      named = named || (line.find("chunk 0") != std::string::npos &&
+                        line.find("word count") != std::string::npos);
+    }
+    EXPECT_TRUE(named) << "diagnostics must name the chunk and its word count";
+    std::vector<std::string> findings;
+    EXPECT_FALSE(archive.Verify(&findings));
+    EXPECT_FALSE(findings.empty());
+  }
+}
+
 TEST(ArchiveCorruption, WrongMagicIsAHardError) {
   const std::string path = TempPath("badmagic.wrl");
   WriteTestArchive(path, SyntheticChunks(1, 10));
@@ -388,6 +440,79 @@ WorkloadSpec UnitWorkload() {
   return w;
 }
 
+// Rebuilds one half of the capturing system (deterministic builds), exactly
+// what a separate process replaying the archive would do.
+std::unique_ptr<SystemInstance> BuildCapturingSystem(
+    const WorkloadSpec& workload, bool tracing, bool scavenge,
+    Personality personality = Personality::kUltrix) {
+  SystemConfig config;
+  config.personality = personality;
+  if (personality == Personality::kMach) {  // The harness's Mach page policy.
+    config.policy = PagePolicy::kScrambled;
+    config.policy_mult = 9;
+  }
+  config.tracing = tracing;
+  config.clock_period = tracing ? 200000 * 15 : 200000;
+  config.program_source = workload.source;
+  config.program_name = workload.name;
+  config.files = workload.files;
+  config.trace_buf_bytes = 16u << 20;
+  config.scavenge = scavenge;
+  return BuildSystem(config);
+}
+
+ReplaySource UnitSource(const TraceChunkSource* log, const SystemInstance& traced,
+                        Personality personality = Personality::kUltrix) {
+  ReplaySource source;
+  source.log = log;
+  source.kernel_table = &traced.kernel_table();
+  source.user_tables.emplace_back(1, &traced.user_table());
+  if (personality == Personality::kMach) {
+    source.user_tables.emplace_back(2, &traced.server_table());
+  }
+  return source;
+}
+
+void ExpectSamePrediction(const Prediction& a, const Prediction& b) {
+  EXPECT_EQ(a.instructions, b.instructions);
+  EXPECT_EQ(a.idle_instructions, b.idle_instructions);
+  EXPECT_EQ(a.mem_stall_cycles, b.mem_stall_cycles);
+  EXPECT_EQ(a.arith_stall_cycles, b.arith_stall_cycles);
+  EXPECT_EQ(a.io_stall_cycles, b.io_stall_cycles);
+  EXPECT_EQ(a.utlb_misses, b.utlb_misses);
+  EXPECT_EQ(a.synthesized_refs, b.synthesized_refs);
+  EXPECT_EQ(a.memsys_stats.icache_misses, b.memsys_stats.icache_misses);
+  EXPECT_EQ(a.memsys_stats.dcache_misses, b.memsys_stats.dcache_misses);
+  EXPECT_EQ(a.memsys_stats.wb_stall_cycles, b.memsys_stats.wb_stall_cycles);
+  EXPECT_EQ(a.user_stall_cycles, b.user_stall_cycles);
+  EXPECT_EQ(a.kernel_stall_cycles, b.kernel_stall_cycles);
+}
+
+void ExpectSameTlb(const TlbSimStats& a, const TlbSimStats& b) {
+  EXPECT_EQ(a.user_refs, b.user_refs);
+  EXPECT_EQ(a.utlb_misses, b.utlb_misses);
+  EXPECT_EQ(a.ktlb_misses, b.ktlb_misses);
+}
+
+void ExpectSameSweep(const SweepResult& a, const SweepResult& b) {
+  ASSERT_EQ(a.icache.size(), b.icache.size());
+  ASSERT_EQ(a.dcache.size(), b.dcache.size());
+  for (size_t i = 0; i < a.icache.size(); ++i) {
+    EXPECT_EQ(a.icache[i].misses, b.icache[i].misses) << i;
+  }
+  for (size_t i = 0; i < a.dcache.size(); ++i) {
+    EXPECT_EQ(a.dcache[i].misses, b.dcache[i].misses) << i;
+  }
+  EXPECT_EQ(a.tlb_lru_misses, b.tlb_lru_misses);
+  EXPECT_EQ(a.tlb_cold_misses, b.tlb_cold_misses);
+  EXPECT_EQ(a.tlb_refs, b.tlb_refs);
+  EXPECT_EQ(a.refs, b.refs);
+  EXPECT_EQ(a.ifetches, b.ifetches);
+  EXPECT_EQ(a.synthesized_refs, b.synthesized_refs);
+  EXPECT_EQ(a.family_points, b.family_points);
+  ExpectSameTlb(a.tlb, b.tlb);
+}
+
 TEST(ArchiveExperiment, TeeReplaysToTheLiveAnalysisCountersBitForBit) {
   const std::string path = TempPath("experiment.wrl");
   ExperimentOptions options;
@@ -399,25 +524,14 @@ TEST(ArchiveExperiment, TeeReplaysToTheLiveAnalysisCountersBitForBit) {
   EXPECT_EQ(live.stats.CounterValue("archive.words"), live.trace_words);
   EXPECT_EQ(live.stats.GaugeValue("archive.finalized"), 1.0);
 
-  // Fresh reader + freshly rebuilt capturing system (deterministic builds),
-  // exactly what a separate process would do.
+  // Fresh reader + freshly rebuilt capturing system.
   ArchiveReader archive(path);
   EXPECT_FALSE(archive.degraded());
   EXPECT_EQ(archive.word_count(), live.trace_words);
   EXPECT_EQ(archive.MetaValue("workload"), "unit");
 
-  auto make_config = [&](bool tracing) {
-    SystemConfig config;
-    config.tracing = tracing;
-    config.clock_period = tracing ? 200000 * 15 : 200000;
-    config.program_source = kBody;
-    config.program_name = "unit";
-    config.trace_buf_bytes = 16u << 20;
-    config.scavenge = options.scavenge;
-    return config;
-  };
-  auto measured = BuildSystem(make_config(false));
-  auto traced = BuildSystem(make_config(true));
+  auto measured = BuildCapturingSystem(UnitWorkload(), false, options.scavenge);
+  auto traced = BuildCapturingSystem(UnitWorkload(), true, options.scavenge);
 
   PredictorConfig pconfig;
   pconfig.dilation = options.dilation;
@@ -426,11 +540,7 @@ TEST(ArchiveExperiment, TeeReplaysToTheLiveAnalysisCountersBitForBit) {
   simulator.AddTextImage(measured->kernel_exe());
   simulator.AddTextImage(measured->workload_orig());
 
-  ReplaySource source;
-  source.log = &archive;
-  source.kernel_table = &traced->kernel_table();
-  source.user_tables.emplace_back(1, &traced->user_table());
-  ReplayEngine engine(std::move(source));
+  ReplayEngine engine(UnitSource(&archive, *traced));
   engine.Parse();
   const std::vector<TraceRef>& refs = engine.refs();
   for (size_t i = 0; i < refs.size(); i += kRefBatchCapacity) {
@@ -457,6 +567,125 @@ TEST(ArchiveExperiment, TeeReplaysToTheLiveAnalysisCountersBitForBit) {
     }
   }
   EXPECT_GT(compared, 10u);
+}
+
+// The capture-mode wiring oracle: RunExperiment's one analysis tee — the
+// primary simulator, the profiler, the sweep engine, and one simulator per
+// variant the sweep cannot price — must match dedicated replays of the
+// archived capture bit for bit, sink by sink.  A Mach paper workload, so
+// that the page-map variant's different draw changes its miss counts.
+TEST(ArchiveExperiment, CaptureAnalysisTeeMatchesDedicatedReplays) {
+  const Personality mach = Personality::kMach;
+  const WorkloadSpec workload = PaperWorkload("compress", 0.02);
+  const std::string path = TempPath("tee_oracle.wrl");
+  ReplayVariant geometry;  // Geometry-only: priced by the sweep.
+  geometry.name = "cache8k";
+  geometry.memsys.icache.size_bytes = 8 * 1024;
+  geometry.memsys.dcache.size_bytes = 8 * 1024;
+  ReplayVariant slowmem;
+  slowmem.name = "slowmem";
+  slowmem.memsys.read_miss_penalty = 30;
+  slowmem.memsys.uncached_penalty = 30;
+  ReplayVariant remap;
+  remap.name = "remap";
+  remap.page_map_mult = 7;
+  ExperimentOptions options;
+  options.personality = mach;
+  options.capture_replay = true;
+  options.archive_path = path;
+  options.profile = true;
+  options.sweep.tlb_max_entries = 16;
+  options.replay_variants = {geometry, slowmem, remap};
+  ExperimentResult result = RunExperiment(workload, options);
+  ASSERT_TRUE(result.sweep_ran);
+  ASSERT_EQ(result.replays.size(), 3u);
+  EXPECT_TRUE(result.replays[0].swept);
+  EXPECT_FALSE(result.replays[1].swept);
+  EXPECT_FALSE(result.replays[2].swept);
+  EXPECT_GT(result.trace_log_words, 0u);
+
+  // The oracle: one dedicated replay per analysis, from the archive.
+  ArchiveReader archive(path);
+  auto measured = BuildCapturingSystem(workload, false, options.scavenge, mach);
+  auto traced = BuildCapturingSystem(workload, true, options.scavenge, mach);
+  PredictorConfig pconfig;
+  pconfig.dilation = options.dilation;
+  pconfig.page_map = measured->PageMap(13);  // The harness's Mach draw.
+  auto simulator = [&measured](const PredictorConfig& config) {
+    auto sim = std::make_unique<TraceDrivenSimulator>(config);
+    sim->AddTextImage(measured->kernel_exe());
+    sim->AddTextImage(measured->workload_orig());
+    return sim;
+  };
+  SweepConfig sweep_config;
+  sweep_config.base = pconfig.memsys;
+  sweep_config.page_map = pconfig.page_map;
+  sweep_config.tlb_wired = pconfig.tlb_wired;
+  sweep_config.icache = {{pconfig.memsys.icache.line_bytes, 8 * 1024, 8 * 1024}};
+  sweep_config.dcache = {{pconfig.memsys.dcache.line_bytes, 8 * 1024, 8 * 1024}};
+  sweep_config.tlb_max_entries = 16;
+
+  std::vector<ReplayEngine::Config> configs;
+  configs.reserve(3 + options.replay_variants.size());
+  configs.push_back({"primary", [&] { return simulator(pconfig); }});
+  configs.push_back({"profile", [&] {
+                       auto prof = std::make_unique<TraceProfiler>(options.profile_options);
+                       prof->AddTable(kKernelPid, &traced->kernel_table());
+                       prof->AddTable(1, &traced->user_table());
+                       prof->AddSymbols(kKernelPid, traced->kernel_orig());
+                       prof->AddSymbols(1, measured->workload_orig());
+                       prof->SetSpaceName(1, workload.name);
+                       prof->AddTable(2, &traced->server_table());
+                       prof->AddSymbols(2, traced->server_orig());
+                       prof->SetSpaceName(2, "server");
+                       return prof;
+                     }});
+  configs.push_back({"sweep", [&] { return std::make_unique<SweepEngine>(sweep_config); }});
+  for (const ReplayVariant& v : options.replay_variants) {
+    configs.push_back({v.name, [&, v] {
+                         PredictorConfig vconfig = pconfig;
+                         vconfig.memsys = v.memsys;
+                         vconfig.tlb_wired = v.tlb_wired;
+                         if (v.page_map_mult != 0) {
+                           vconfig.page_map = measured->PageMap(v.page_map_mult);
+                         }
+                         return simulator(vconfig);
+                       }});
+  }
+  ReplayEngine engine(UnitSource(&archive, *traced, mach));
+  std::vector<ReplayEngine::Outcome> oracle = engine.Run(configs);
+  auto sim = [&oracle](size_t i) { return static_cast<TraceDrivenSimulator*>(oracle[i].sink.get()); };
+
+  const Prediction primary = sim(0)->Finish();
+  ExpectSamePrediction(result.prediction, primary);
+  EXPECT_EQ(result.profile.CanonicalJson(),
+            static_cast<TraceProfiler*>(oracle[1].sink.get())->Finish().CanonicalJson());
+  auto* sweep = static_cast<SweepEngine*>(oracle[2].sink.get());
+  ExpectSameSweep(result.sweep, sweep->Finish());
+
+  // The swept variant: timing derived from the oracle sweep, miss counts
+  // exactly those of its own dedicated replay.
+  ExpectSamePrediction(result.replays[0].prediction,
+                       sweep->DerivePrediction(primary, geometry.memsys));
+  ExpectSameTlb(result.replays[0].tlb, sweep->tlb_stats());
+  const Prediction geometry_replay = sim(3)->Finish();
+  EXPECT_EQ(result.replays[0].prediction.memsys_stats.icache_misses,
+            geometry_replay.memsys_stats.icache_misses);
+  EXPECT_EQ(result.replays[0].prediction.memsys_stats.dcache_misses,
+            geometry_replay.memsys_stats.dcache_misses);
+  EXPECT_EQ(result.replays[0].prediction.utlb_misses, geometry_replay.utlb_misses);
+
+  // The replayed variants: each its own simulator on the tee.
+  for (size_t v = 1; v < 3; ++v) {
+    SCOPED_TRACE(result.replays[v].name);
+    ExpectSamePrediction(result.replays[v].prediction, sim(3 + v)->Finish());
+    ExpectSameTlb(result.replays[v].tlb, sim(3 + v)->tlb().stats());
+    EXPECT_EQ(result.replays[v].refs, engine.refs().size());
+  }
+  // The variants really differ from the primary, so the checks above bite.
+  EXPECT_NE(result.replays[1].prediction.mem_stall_cycles, primary.mem_stall_cycles);
+  EXPECT_NE(result.replays[2].prediction.memsys_stats.dcache_misses,
+            primary.memsys_stats.dcache_misses);
 }
 
 TEST(ArchiveExperiment, PipelinedAndSynchronousTeesWriteIdenticalArchives) {

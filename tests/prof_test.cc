@@ -342,7 +342,7 @@ std::unique_ptr<TraceProfiler> MakeBareProfiler(const BareBuild& build) {
   return prof;
 }
 
-TEST(TraceProfiler, LiveReplayAndPerRefProfilesBitIdentical) {
+TEST(TraceProfiler, LiveAndReplayProfilesBitIdentical) {
   BareBuild build = BuildBareTraced(kBody);
   BareTraceRun run = RunBareTraced(build);
   ASSERT_FALSE(run.trace_words.empty());
@@ -373,16 +373,8 @@ TEST(TraceProfiler, LiveReplayAndPerRefProfilesBitIdentical) {
   }
   Profile replay_profile = replay->Finish();
 
-  // Per-ref: the WRL_BATCH=0 shape, one reference at a time.
-  auto perref = MakeBareProfiler(build);
-  for (const TraceRef& r : refs) {
-    perref->OnRef(r);
-  }
-  Profile perref_profile = perref->Finish();
-
   std::string canonical = live_profile.CanonicalJson();
   EXPECT_EQ(canonical, replay_profile.CanonicalJson());
-  EXPECT_EQ(canonical, perref_profile.CanonicalJson());
   EXPECT_EQ(live_profile.FoldedStacks(), replay_profile.FoldedStacks());
 
   // Exact reconciliation against the parser's own counters.

@@ -114,17 +114,16 @@ struct LiveOutcome {
   TlbSimStats tlb;
 };
 
-// The reference path: per-ref live analysis in lockstep with the parse.
+// The reference path: live analysis in lockstep with the parse, one ref
+// per batch.
 LiveOutcome RunLive(const BareBuild& build, const BareTraceRun& run) {
   LiveOutcome out;
   TraceDrivenSimulator sim((PredictorConfig()));
   TlbSimulator tlb;
+  TeeBatchSink tee({&sim, &tlb});
   TraceParser parser(&build.table);
   parser.SetInitialContext(kKernelPid);
-  parser.SetRefSink([&](const TraceRef& r) {
-    sim.OnRef(r);
-    tlb.OnRef(r);
-  });
+  parser.SetBatchSink(&tee, 1);
   parser.Feed(run.trace_words);
   parser.Finish();
   out.stats = parser.stats();
@@ -162,25 +161,20 @@ TEST(ReplayEngine, BatchedReplayBitIdenticalToLive) {
       {"sim", [] { return std::make_unique<TraceDrivenSimulator>(PredictorConfig()); }});
   configs.push_back({"tlb", [] { return std::make_unique<TlbSimulator>(); }});
 
-  for (bool batch : {true, false}) {
-    SCOPED_TRACE(batch ? "batched" : "per-ref");
-    ReplayEngine::Options options;
-    options.batch = batch;
-    std::vector<ReplayEngine::Outcome> outcomes = engine.Run(configs, options);
-    ASSERT_EQ(outcomes.size(), 2u);
+  std::vector<ReplayEngine::Outcome> outcomes = engine.Run(configs);
+  ASSERT_EQ(outcomes.size(), 2u);
 
-    // The single parse saw the same stream the live parser saw.
-    EXPECT_EQ(engine.parser_stats().refs, live.stats.refs);
-    EXPECT_EQ(engine.parser_stats().words, live.stats.words);
-    EXPECT_EQ(engine.parser_stats().blocks, live.stats.blocks);
-    EXPECT_EQ(engine.parser_stats().validation_errors, live.stats.validation_errors);
+  // The single parse saw the same stream the live parser saw.
+  EXPECT_EQ(engine.parser_stats().refs, live.stats.refs);
+  EXPECT_EQ(engine.parser_stats().words, live.stats.words);
+  EXPECT_EQ(engine.parser_stats().blocks, live.stats.blocks);
+  EXPECT_EQ(engine.parser_stats().validation_errors, live.stats.validation_errors);
 
-    auto* sim = static_cast<TraceDrivenSimulator*>(outcomes[0].sink.get());
-    ExpectSamePrediction(sim->Finish(), live.prediction);
-    auto* tlb = static_cast<TlbSimulator*>(outcomes[1].sink.get());
-    EXPECT_EQ(tlb->stats().utlb_misses, live.tlb.utlb_misses);
-    EXPECT_EQ(tlb->stats().user_refs, live.tlb.user_refs);
-  }
+  auto* sim = static_cast<TraceDrivenSimulator*>(outcomes[0].sink.get());
+  ExpectSamePrediction(sim->Finish(), live.prediction);
+  auto* tlb = static_cast<TlbSimulator*>(outcomes[1].sink.get());
+  EXPECT_EQ(tlb->stats().utlb_misses, live.tlb.utlb_misses);
+  EXPECT_EQ(tlb->stats().user_refs, live.tlb.user_refs);
 }
 
 TEST(ReplayEngine, OddBatchSizesDeliverIdenticalResults) {

@@ -422,15 +422,6 @@ TEST(SweepExperiment, LiveCaptureAndPipelinedModesAreBitIdentical) {
     ASSERT_TRUE(result.sweep_ran);
     ExpectSameSweep(result.sweep, reference.sweep);
   }
-  {
-    SCOPED_TRACE("per-ref shim (WRL_BATCH=0 equivalent)");
-    ExperimentOptions options = SweepOptionsBase();
-    options.pipeline = false;
-    options.batch = false;
-    ExperimentResult result = RunExperiment(w, options);
-    ASSERT_TRUE(result.sweep_ran);
-    ExpectSameSweep(result.sweep, reference.sweep);
-  }
 }
 
 TEST(SweepEngine, ChunkParallelDecodeDeliversIdenticalSweep) {

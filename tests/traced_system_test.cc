@@ -52,7 +52,7 @@ TracedRun RunTraced(const std::string& program,
     parser.SetUserTable(2, &run.sys->server_table());
   }
   parser.SetInitialContext(kKernelPid);
-  parser.SetRefSink([&](const TraceRef& ref) {
+  RefFnSink tally([&](const TraceRef& ref) {
     if (ref.kernel) {
       ++run.kernel_refs;
     } else if (ref.kind == TraceRef::kLoad) {
@@ -61,6 +61,7 @@ TracedRun RunTraced(const std::string& program,
       ++run.user_stores;
     }
   });
+  parser.SetBatchSink(&tally);
   run.sys->SetTraceSink([&parser](const uint32_t* words, size_t count) {
     parser.Feed(words, count);
   });

@@ -5,11 +5,11 @@
 // and page that generated it — plus the §5 distortion accounting: trace
 // words and epoxie-inserted instructions charged per block.
 //
-// Two analysis modes, bit-identical by construction:
-//   * capture (default): drains are captured into a TraceLog and the
-//     profiler replays the materialized stream (ReplayEngine, one parse);
-//   * --live: the profiler consumes batches behind the parser during the
-//     traced run itself.
+// Two analysis modes, bit-identical by construction, that differ only in
+// where the drains go — the profiler always sits behind one parser:
+//   * capture (default): drains are captured into a TraceLog, which is
+//     replayed through the parser after the run;
+//   * --live: the parser consumes each drain during the traced run itself.
 //
 // The built-in reconciliation gate cross-checks the profile against the
 // wrlstats parser counters — Σ block insts == parser.ifetches, Σ loads ==
@@ -33,6 +33,7 @@
 //   }
 // --folded writes flamegraph-compatible folded stacks
 // ("space;symbol;block_0xADDR insts" per line).
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -40,7 +41,6 @@
 #include <string>
 #include <vector>
 
-#include "harness/replay_engine.h"
 #include "kernel/system_build.h"
 #include "prof/prof.h"
 #include "support/error.h"
@@ -281,18 +281,17 @@ int Run(int argc, char** argv) {
     profiler.SetSpaceName(2, "server");
   }
 
+  TraceParser parser(&traced->kernel_table());
+  parser.SetUserTable(1, &traced->user_table());
+  if (cli.personality == Personality::kMach) {
+    parser.SetUserTable(2, &traced->server_table());
+  }
+  parser.SetInitialContext(kKernelPid);
+  parser.SetBatchSink(&profiler);
+  auto feed = [&parser](const uint32_t* words, size_t count) { parser.Feed(words, count); };
   TraceLog trace_log;
-  std::unique_ptr<TraceParser> parser;
   if (cli.live) {
-    parser = std::make_unique<TraceParser>(&traced->kernel_table());
-    parser->SetUserTable(1, &traced->user_table());
-    if (cli.personality == Personality::kMach) {
-      parser->SetUserTable(2, &traced->server_table());
-    }
-    parser->SetInitialContext(kKernelPid);
-    parser->SetBatchSink(&profiler);
-    traced->SetTraceSink(
-        [&parser](const uint32_t* words, size_t count) { parser->Feed(words, count); });
+    traced->SetTraceSink(feed);
   } else {
     traced->SetTraceSink(
         [&trace_log](const uint32_t* words, size_t count) { trace_log.Append(words, count); });
@@ -304,33 +303,11 @@ int Run(int argc, char** argv) {
                           workload.name.c_str(), traced->machine().pc()));
   }
 
-  TraceParserStats pstats;
-  if (cli.live) {
-    parser->Finish();
-    pstats = parser->stats();
-  } else {
-    ReplaySource source;
-    source.log = &trace_log;
-    source.kernel_table = &traced->kernel_table();
-    source.user_tables.emplace_back(1, &traced->user_table());
-    if (cli.personality == Personality::kMach) {
-      source.user_tables.emplace_back(2, &traced->server_table());
-    }
-    ReplayEngine engine(std::move(source));
-    engine.Parse();
-    if (BatchRefsEnabled()) {
-      // Replay the materialized stream in parser-sized batches.
-      const std::vector<TraceRef>& refs = engine.refs();
-      for (size_t i = 0; i < refs.size(); i += kRefBatchCapacity) {
-        profiler.OnRefBatch(refs.data() + i, std::min(kRefBatchCapacity, refs.size() - i));
-      }
-    } else {
-      for (const TraceRef& ref : engine.refs()) {
-        profiler.OnRef(ref);
-      }
-    }
-    pstats = engine.parser_stats();
+  if (!cli.live) {
+    trace_log.Replay(feed);
   }
+  parser.Finish();
+  const TraceParserStats& pstats = parser.stats();
 
   Profile profile = profiler.Finish();
   Reconcile reconcile;
