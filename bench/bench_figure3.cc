@@ -3,14 +3,13 @@
 // short-running and I/O-heavy ones (sed, compress) and the write-buffer-
 // bound one (liv) larger.
 //
-// The suite runs in capture mode with the single-pass sweep engine on top:
-// each workload's traced machine run is captured into a packed TraceLog,
-// then one parse of the capture feeds the primary prediction and the
-// what-if sweep (half/quarter-size caches, a slower memory, more wired TLB
-// entries) together.  The geometry-only variants (cache32k, cache16k) are
-// absorbed by ONE forest-simulation sweep pass with exact miss counts; only
-// the non-sweepable ones (slowmem, wired16 — different penalties / TLB
-// wiring change the effective stream) get dedicated simulators.
+// Each workload's traced run feeds one analysis as its drains arrive: one
+// parse of the trace prices the primary prediction and the what-if sweep
+// (half/quarter-size caches, a slower memory, more wired TLB entries)
+// together.  The geometry-only variants (cache32k, cache16k) are absorbed
+// by ONE forest-simulation sweep pass with exact miss counts; only the
+// non-sweepable ones (slowmem, wired16 — different penalties / TLB wiring
+// change the effective stream) get dedicated simulators on the same tee.
 #include <cmath>
 #include <cstdio>
 
@@ -20,7 +19,7 @@ using namespace wrl;
 
 namespace {
 
-// The what-if sweep replayed against each workload's capture.
+// The what-if sweep priced from each workload's trace.
 std::vector<ReplayVariant> SweepVariants() {
   std::vector<ReplayVariant> variants;
   {
@@ -83,8 +82,8 @@ int main(int argc, char** argv) {
   }
   printf("\nworst |error| = %.2f%%\n", worst);
 
-  // The replay sweep: predicted time for each what-if config, from the same
-  // single capture as the primary prediction (one traced run per workload).
+  // The what-if sweep: predicted time for each config, from the same trace
+  // as the primary prediction (one traced run per workload).
   printf("\n=== What-if sweep (one capture; '*' = priced by the sweep pass) ===\n");
   printf("%-10s %10s", "workload", "primary");
   for (const ReplayVariant& v : base.replay_variants) {
@@ -108,8 +107,8 @@ int main(int argc, char** argv) {
     }
   }
   if (!results.empty()) {
-    printf("\ncapture compression %.2fx (first workload), replay fan-out %.1f Mrefs/s (mean)\n",
-           results.front().trace_compression, mrefs_sum / static_cast<double>(results.size()));
+    printf("\nreplay fan-out %.1f Mrefs/s (mean)\n",
+           mrefs_sum / static_cast<double>(results.size()));
   }
   if (sweep_runs > 0) {
     printf("sweep pass: %.0f Mrefs/s equivalent (mean; family points x refs / pass wall time)\n",

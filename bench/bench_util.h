@@ -57,13 +57,17 @@ inline unsigned BenchJobs(int argc, char** argv) {
   return jobs < 1 ? 1u : static_cast<unsigned>(jobs);
 }
 
+// WRL_PROGRESS in the environment (any value but "0") turns the suite
+// heartbeat on; the one place the benches read it.
+inline bool ProgressEnv() {
+  const char* env = std::getenv("WRL_PROGRESS");
+  return env != nullptr && std::strcmp(env, "0") != 0;
+}
+
 // Live progress heartbeat: --progress or WRL_PROGRESS env (default off).
 // The heartbeat writes only to stderr, so reports are unaffected.
 inline bool BenchProgress(int argc, char** argv) {
-  bool progress = false;
-  if (const char* env = std::getenv("WRL_PROGRESS")) {
-    progress = std::strcmp(env, "0") != 0;
-  }
+  bool progress = ProgressEnv();
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--progress") == 0) {
       progress = true;
@@ -90,9 +94,10 @@ inline std::string BenchJsonPath(int argc, char** argv) {
   return path;
 }
 
-// Runs the full paper-workload suite for one personality.  `base` carries
-// any extra experiment options (replay variants, batch mode, ...);
-// personality/events/jobs are overwritten from the explicit arguments.
+// Runs the full paper-workload suite for one personality.  `options`
+// carries any extra experiment options (replay variants, sweep, profile,
+// ...); personality/events/jobs are overwritten from the explicit arguments
+// and WRL_PROGRESS can turn the heartbeat on.
 inline std::vector<ExperimentResult> RunPersonalitySuite(Personality personality, double scale,
                                                          EventRecorder* events, unsigned jobs,
                                                          ExperimentOptions options) {
@@ -100,12 +105,9 @@ inline std::vector<ExperimentResult> RunPersonalitySuite(Personality personality
   options.events = events;
   const std::vector<WorkloadSpec> workloads = PaperWorkloads(scale);
   std::vector<ExperimentResult> results;
-  bool progress = options.progress;
-  if (const char* env = std::getenv("WRL_PROGRESS")) {
-    progress = progress || std::strcmp(env, "0") != 0;
-  }
+  options.progress = options.progress || ProgressEnv();
   if (jobs <= 1) {
-    if (progress) {
+    if (options.progress) {
       // Route through RunSuite so the heartbeat's monitor thread runs even
       // for serial suites.
       results = RunSuite(workloads, options);

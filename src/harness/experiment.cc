@@ -5,8 +5,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <functional>
 #include <memory>
@@ -61,12 +59,11 @@ void CoverFamilyPoint(std::vector<CacheFamilySpec>& families, uint32_t line, uin
 // Live progress heartbeat (stderr only, so reports are untouched): a
 // monitor thread prints workloads done, aggregate parse throughput, the
 // suite-so-far sim.mips, and a naive ETA every interval.  Workers feed it
-// through atomics; enabled by ExperimentOptions::progress or WRL_PROGRESS=1.
+// through atomics; enabled by ExperimentOptions::progress.
 class ProgressMeter {
  public:
-  ProgressMeter(bool enabled, size_t total, uint32_t interval_ms) : total_(total) {
-    const char* env = std::getenv("WRL_PROGRESS");
-    enabled_ = (enabled || (env != nullptr && std::strcmp(env, "0") != 0)) && total_ > 0;
+  ProgressMeter(bool enabled, size_t total, uint32_t interval_ms)
+      : total_(total), enabled_(enabled && total > 0) {
     if (!enabled_) {
       return;
     }
@@ -329,10 +326,8 @@ class MeasuredRun {
 // ---- The analysis ----
 // One parser feeding one TeeBatchSink over every sink the options ask for:
 // the primary simulator, the profiler and the sweep engine when enabled,
-// and one dedicated simulator per variant the sweep cannot price.  A live
-// run feeds it each drain during the traced run; a capture run feeds it
-// the TraceLog after the run.  The wiring is the same either way, which is
-// what makes the two modes bit-identical.
+// and one dedicated simulator per variant the sweep cannot price.  The
+// traced run feeds it each drain as it arrives.
 class Analysis {
  public:
   Analysis(const WorkloadSpec& workload, const ExperimentOptions& options,
@@ -341,9 +336,6 @@ class Analysis {
   Analysis(const Analysis&) = delete;
   Analysis& operator=(const Analysis&) = delete;
 
-  // Capture when asked, or when some variant needs a dedicated simulator;
-  // a sweep that absorbs every variant lets the analysis stay live.
-  bool capture() const { return capture_; }
   void SetEventRecorder(EventRecorder* events) { parser_.SetEventRecorder(events); }
   void Feed(const uint32_t* words, size_t count) { parser_.Feed(words, count); }
   // Ends the stream and harvests every sink into `result`, variants in the
@@ -361,12 +353,11 @@ class Analysis {
   // sweep engine prices it.
   std::vector<std::unique_ptr<TraceDrivenSimulator>> variants_;
   std::unique_ptr<TeeBatchSink> tee_;
-  bool capture_ = false;
 };
 
 Analysis::Analysis(const WorkloadSpec& workload, const ExperimentOptions& options,
                    const SystemInstance& measured, const SystemInstance& traced)
-    : options_(options), parser_(&traced.kernel_table()), capture_(options.capture_replay) {
+    : options_(options), parser_(&traced.kernel_table()) {
   const bool mach = options.personality == Personality::kMach;
   parser_.SetUserTable(1, &traced.user_table());
   if (mach) {
@@ -423,7 +414,6 @@ Analysis::Analysis(const WorkloadSpec& workload, const ExperimentOptions& option
       vconfig.page_map = measured.PageMap(v.page_map_mult);
     }
     variants_.push_back(MakeSimulator(vconfig, measured));
-    capture_ = true;
   }
   if (sweep_active) {
     sweep_ = std::make_unique<SweepEngine>(sweep_config);
@@ -449,30 +439,28 @@ void Analysis::Finish(ExperimentResult& result) {
     result.sweep = sweep_->Finish();
     result.sweep_ran = true;
   }
-  if (capture_) {
-    // Host time per sink is a capture-mode figure (a live analysis shares
-    // the traced run's wall clock).  The sweep engine is priced per family
-    // point; every other sink counts toward the replay throughput.
-    uint64_t wall_us = 0;
-    uint64_t sinks = 0;
-    for (const RefBatchSink* sink : tee_->sinks()) {
-      if (sink != sweep_.get()) {
-        wall_us += tee_->wall_us(sink);
-        ++sinks;
-      }
+  // Host time per sink, from the tee's per-batch timings.  The sweep
+  // engine is priced per family point; every other sink counts toward the
+  // replay throughput.
+  uint64_t wall_us = 0;
+  uint64_t sinks = 0;
+  for (const RefBatchSink* sink : tee_->sinks()) {
+    if (sink != sweep_.get()) {
+      wall_us += tee_->wall_us(sink);
+      ++sinks;
     }
-    const double refs = static_cast<double>(tee_->refs());
-    result.replay_mrefs_per_sec =
-        wall_us > 0 ? refs * static_cast<double>(sinks) / static_cast<double>(wall_us) : 0.0;
-    if (sweep_ != nullptr) {
-      result.sweep.wall_us = tee_->wall_us(sweep_.get());
-      if (result.sweep.wall_us > 0) {
-        // Equivalent-replay throughput: one pass priced `family_points`
-        // configurations of `refs` references each.
-        result.sweep_mrefs_per_sec = static_cast<double>(result.sweep.family_points) *
-                                     static_cast<double>(result.sweep.refs) /
-                                     static_cast<double>(result.sweep.wall_us);
-      }
+  }
+  const double refs = static_cast<double>(tee_->refs());
+  result.replay_mrefs_per_sec =
+      wall_us > 0 ? refs * static_cast<double>(sinks) / static_cast<double>(wall_us) : 0.0;
+  if (sweep_ != nullptr) {
+    result.sweep.wall_us = tee_->wall_us(sweep_.get());
+    if (result.sweep.wall_us > 0) {
+      // Equivalent-replay throughput: one pass priced `family_points`
+      // configurations of `refs` references each.
+      result.sweep_mrefs_per_sec = static_cast<double>(result.sweep.family_points) *
+                                   static_cast<double>(result.sweep.refs) /
+                                   static_cast<double>(result.sweep.wall_us);
     }
   }
   for (size_t i = 0; i < variants_.size(); ++i) {
@@ -504,26 +492,25 @@ void Analysis::RegisterStats(StatsRegistry& registry) {
 }
 
 // ---- The traced run ----
-// Its drain chain: [pipeline] → [archive tee] → the analysis feed (live
-// mode) or the TraceLog packer (capture mode).  Synchronously the chain
-// runs inside each drain; pipelined it runs on a consumer thread while the
-// machine simulates ahead.  Either way it sees the identical chunk
-// sequence and boundaries, so every output is bit-identical.  Members are
-// declared in teardown order: the pipeline goes first, so unwinding joins
-// the consumer thread before anything it touches is destroyed.
+// Its drain chain: [pipeline] → [archive tee] → the analysis feed.
+// Synchronously the chain runs inside each drain; pipelined it runs on a
+// consumer thread while the machine simulates ahead.  Either way it sees
+// the identical chunk sequence and boundaries, so every output is
+// bit-identical.  Members are declared in teardown order: the pipeline
+// goes first, so unwinding joins the consumer thread before anything it
+// touches is destroyed.
 struct TracedRun {
   TracedRun() = default;
   // The drain chain captures this object's address.
   TracedRun(const TracedRun&) = delete;
   TracedRun& operator=(const TracedRun&) = delete;
 
-  TraceLog trace_log;
   // Durable capture tee (ExperimentOptions::archive_path).
   std::unique_ptr<ArchiveWriter> archive;
-  // In pipelined live mode the parser runs on the consumer thread, so it
-  // records its Feed phases into this private recorder (no cycle source —
-  // the traced machine's cycle counter belongs to the producer thread),
-  // absorbed into the shared timeline after the pipeline drains.
+  // Pipelined, the parser runs on the consumer thread, so it records its
+  // Feed phases into this private recorder (no cycle source — the traced
+  // machine's cycle counter belongs to the producer thread), absorbed into
+  // the shared timeline after the pipeline drains.
   std::unique_ptr<EventRecorder> consumer_events;
   uint64_t consumer_epoch_us = 0;
   std::unique_ptr<TracePipeline> pipeline;
@@ -531,23 +518,18 @@ struct TracedRun {
 
   void Run(SystemInstance& traced, Analysis& analysis, const WorkloadSpec& workload,
            const ExperimentOptions& options, EventRecorder* events);
-  void RegisterStats(StatsRegistry& registry, bool capture);
+  void RegisterStats(StatsRegistry& registry);
 };
 
 void TracedRun::Run(SystemInstance& traced, Analysis& analysis, const WorkloadSpec& workload,
                     const ExperimentOptions& options, EventRecorder* events) {
-  std::function<void(const uint32_t*, size_t)> consume;
-  if (analysis.capture()) {
-    consume = [this](const uint32_t* words, size_t count) { trace_log.Append(words, count); };
-    analysis.SetEventRecorder(events);  // The post-run feed runs on this thread.
-  } else {
-    consume = [&analysis](const uint32_t* words, size_t count) { analysis.Feed(words, count); };
-    if (options.pipeline) {
-      consumer_events = std::make_unique<EventRecorder>();
-      consumer_epoch_us = events->ElapsedUs();
-    }
-    analysis.SetEventRecorder(options.pipeline ? consumer_events.get() : events);
+  std::function<void(const uint32_t*, size_t)> consume =
+      [&analysis](const uint32_t* words, size_t count) { analysis.Feed(words, count); };
+  if (options.pipeline) {
+    consumer_events = std::make_unique<EventRecorder>();
+    consumer_epoch_us = events->ElapsedUs();
   }
+  analysis.SetEventRecorder(options.pipeline ? consumer_events.get() : events);
   if (!options.archive_path.empty()) {
     archive = std::make_unique<ArchiveWriter>(options.archive_path,
                                               HarnessArchiveMeta(workload, options));
@@ -558,7 +540,7 @@ void TracedRun::Run(SystemInstance& traced, Analysis& analysis, const WorkloadSp
     };
   }
   if (options.pipeline) {
-    pipeline = std::make_unique<TracePipeline>(std::move(consume), options.pipeline_depth);
+    pipeline = std::make_unique<TracePipeline>(std::move(consume));
     traced.SetTraceSink([p = pipeline.get()](const uint32_t* words, size_t count) {
       p->Produce(words, count);
     });
@@ -590,10 +572,7 @@ void TracedRun::Run(SystemInstance& traced, Analysis& analysis, const WorkloadSp
   }
 }
 
-void TracedRun::RegisterStats(StatsRegistry& registry, bool capture) {
-  if (capture) {
-    trace_log.RegisterStats(registry, "tracelog.");
-  }
+void TracedRun::RegisterStats(StatsRegistry& registry) {
   if (archive != nullptr) {
     archive->RegisterStats(registry, "archive.");
   }
@@ -663,19 +642,6 @@ ExperimentResult RunExperiment(const WorkloadSpec& workload, const ExperimentOpt
     }
     analysis = std::make_unique<Analysis>(workload, options, measured.system(), *traced);
     traced_run.Run(*traced, *analysis, workload, options, events);
-    if (analysis->capture()) {
-      // One parse of the capture through the same analysis a live run
-      // feeds, with chunk-parallel decode when the pipeline is on.
-      EventRecorder::Scope scope(events, "replay:" + workload.name, "analysis");
-      const TraceLog& log = traced_run.trace_log;
-      log.ReplayParallel(options.pipeline ? PipelineDecodeWorkers() : 1,
-                         [&analysis](const uint32_t* words, size_t count) {
-                           analysis->Feed(words, count);
-                         });
-      result.trace_log_words = log.words();
-      result.trace_log_bytes = log.stored_bytes();
-      result.trace_compression = log.CompressionRatio();
-    }
     analysis->Finish(result);
     result.traced_machine_instructions = traced->machine().instructions();
     result.trace_words = traced->trace_words_drained();
@@ -703,7 +669,7 @@ ExperimentResult RunExperiment(const WorkloadSpec& workload, const ExperimentOpt
   measured.system().RegisterStats(registry, "measured.");
   traced->RegisterStats(registry, "traced.");
   analysis->RegisterStats(registry);
-  traced_run.RegisterStats(registry, analysis->capture());
+  traced_run.RegisterStats(registry);
   result.stats = registry.Snapshot();
   if (traced_run.consumer_events != nullptr) {
     // Fold the consumer thread's parser phases back in at their true wall

@@ -5,10 +5,11 @@
 // RunExperiment is three steps: the measured run, the traced run, and one
 // analysis — a single parser feeding a single TeeBatchSink over every sink
 // the options ask for (primary simulator, profiler, sweep engine, one
-// simulator per non-swept variant).  In live mode the traced run's drains
-// feed that analysis as they arrive; in capture mode they are packed into a
-// TraceLog and replayed through the same analysis after the run.  The two
-// modes differ only in where the drains go.
+// simulator per non-swept variant).  The traced run's drains feed that
+// analysis as they arrive, as the paper's traced system switches to
+// analysis each time its buffer fills (§4.3).  Recording once and replaying
+// many times is the durable archive's job (archive_path → ArchiveReader →
+// ReplayEngine).
 //
 //   Table 2 / Figure 3: execution times, measured vs predicted
 //   Table 3:            user TLB miss counts, measured vs predicted
@@ -27,7 +28,6 @@
 #include "sweep/sweep.h"
 #include "trace/chunk_ring.h"
 #include "trace/trace_archive.h"
-#include "trace/trace_log.h"
 #include "workloads/workloads.h"
 
 namespace wrl {
@@ -38,8 +38,8 @@ namespace wrl {
 const char* PersonalityName(Personality personality);
 Personality PersonalityFromName(const std::string& name);
 
-// One extra analysis configuration of a capture-once / replay-many sweep:
-// each variant analyzes the identical captured stream with its own cache
+// One extra analysis configuration priced from the same trace: each
+// variant analyzes the identical reference stream with its own cache
 // geometry, TLB wiring, and page-map draw — no additional traced machine
 // run.
 struct ReplayVariant {
@@ -55,8 +55,8 @@ struct ReplayVariantResult {
   Prediction prediction;
   TlbSimStats tlb;
   uint64_t refs = 0;
-  // Host time inside this variant's simulator (capture mode, replayed
-  // variants only).
+  // Host time inside this variant's simulator (dedicated simulators only;
+  // a swept variant shares the sweep pass's sweep.wall_us).
   uint64_t wall_us = 0;
   // Priced by the single-pass sweep engine instead of a dedicated replay
   // (exact miss counts, derived timing — see DESIGN.md §13).
@@ -115,24 +115,15 @@ struct ExperimentOptions {
   // All result fields and metrics are unchanged; only wall time shrinks.
   bool parallel_pair = false;
   // Pipelined trace transport: drained chunks flow through a bounded SPSC
-  // ring to a consumer thread that runs the parser + analysis sink chain
-  // (live mode) or the TraceLog packer (capture mode), so the traced
-  // machine keeps simulating while each drain is consumed
-  // (simulate ∥ parse ∥ analyze).  In capture mode the same option
-  // enables chunk-parallel TraceLog decode for the post-run analysis.  Defaults to on when the host
-  // has more than one hardware thread; WRL_PIPELINE=0 forces the
-  // synchronous path and WRL_PIPELINE=1 forces the pipeline even on
-  // single-core hosts.  Every counter, trace word, profile, and report
+  // ring (kDefaultPipelineDepth chunks) to a consumer thread that runs the
+  // archive tee and the analysis, so the traced machine keeps simulating
+  // while each drain is consumed (simulate ∥ parse ∥ analyze).  Defaults to
+  // on when the host has more than one hardware thread; WRL_PIPELINE=0
+  // forces the synchronous path and WRL_PIPELINE=1 forces the pipeline even
+  // on single-core hosts.  Every counter, trace word, profile, and report
   // value is identical either way; the overlap itself is observable via
   // the trace.pipeline.* metrics, which exist only on pipelined runs.
   bool pipeline = PipelineEnabled();
-  // Ring capacity in chunks (one chunk = one trace-buffer drain).
-  size_t pipeline_depth = kDefaultPipelineDepth;
-  // Capture-once / replay-many: capture the traced run's drained words into
-  // a packed TraceLog and run the analysis as a post-run replay of the
-  // capture instead of live during the traced run.  Bit-identical results;
-  // implied by any replay variant the sweep cannot price.
-  bool capture_replay = false;
   // Extra analysis configurations priced from the same trace (each one more
   // sink on the analysis tee, not another traced machine run).
   std::vector<ReplayVariant> replay_variants;
@@ -143,13 +134,13 @@ struct ExperimentOptions {
   ProfileOptions profile_options;
   // Single-pass multi-configuration sweep (see SweepOptions above).
   SweepOptions sweep;
-  // Tee the capture to a durable wrltrace/1 archive at this path
-  // (trace/trace_archive.h): every drained chunk streams to disk as the
-  // analysis consumes it, in every transport mode (live, pipelined,
-  // capture-replay), so the on-disk chunk sequence is exactly the sequence
-  // the analysis saw.  The archive is finalized (directory footer + fsync)
-  // after the traced run drains; a crash mid-run leaves a recoverable
-  // footerless archive.  Empty = no archive.
+  // Tee the trace to a durable wrltrace/1 archive at this path
+  // (trace/trace_archive.h): every drained chunk streams to disk just before
+  // the analysis consumes it, pipelined or not, so the on-disk chunk
+  // sequence is exactly the sequence the analysis saw.  The archive is
+  // finalized (directory footer + fsync) after the traced run drains; a
+  // crash mid-run leaves a recoverable footerless archive.  Empty = no
+  // archive.
   std::string archive_path;
   // Extra identity metadata recorded into the archive alongside the
   // harness's own keys (workload, personality, clock_period, dilation,
@@ -157,9 +148,8 @@ struct ExperimentOptions {
   // scale, so `wrltrace replay` can rebuild the capturing system.
   ArchiveMeta archive_meta;
   // Live progress heartbeat: RunSuite emits periodic stderr lines
-  // (workloads done, refs/sec, sim.mips, ETA).  WRL_PROGRESS=1 in the
-  // environment forces it on.  Reports are unaffected — the heartbeat
-  // writes only to stderr.
+  // (workloads done, refs/sec, sim.mips, ETA).  Reports are unaffected —
+  // the heartbeat writes only to stderr.
   bool progress = false;
   uint32_t progress_interval_ms = 2000;
 };
@@ -192,10 +182,6 @@ struct ExperimentResult {
 
   // One result per ReplayVariant, in the caller's order.
   std::vector<ReplayVariantResult> replays;
-  // Capture outputs (capture mode only; zero when the analysis ran live).
-  uint64_t trace_log_words = 0;
-  uint64_t trace_log_bytes = 0;       // Stored (packed) bytes.
-  double trace_compression = 0;       // raw_bytes / stored_bytes.
   // Analysis throughput of every sink but the sweep engine: refs × sinks
   // per wall-second spent inside them (the sweep's own throughput is
   // sweep_mrefs_per_sec, counted per family point).
@@ -205,8 +191,7 @@ struct ExperimentResult {
   bool sweep_ran = false;
   SweepResult sweep;
   // Equivalent-replay throughput of the sweep pass: family points × refs
-  // per wall-second inside the sweep engine (capture mode only — live-mode
-  // sweeps share the traced run's wall clock and report 0).
+  // per wall-second inside the sweep engine.
   double sweep_mrefs_per_sec = 0;
 
   // The attribution profile (empty unless ExperimentOptions::profile).

@@ -17,10 +17,10 @@
 // predicted number a replayed configuration produces matches the live path
 // bit-for-bit, whatever Options::batch_refs is.
 //
-// RunExperiment does not use the engine: its analysis streams the capture
-// through one parser and one TeeBatchSink without materializing it.  The
-// engine serves callers that replay one parse more than once (tlb_study's
-// fan-out and --check replays, `wrltrace replay`).
+// RunExperiment does not use the engine: its analysis feeds each drain
+// through one parser and one TeeBatchSink as the traced run produces it.
+// The engine serves callers that replay one parse more than once
+// (tlb_study's fan-out and --check replays, `wrltrace replay`).
 #ifndef WRLTRACE_HARNESS_REPLAY_ENGINE_H_
 #define WRLTRACE_HARNESS_REPLAY_ENGINE_H_
 

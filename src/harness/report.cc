@@ -28,9 +28,6 @@ std::map<std::string, double> FlatMetrics(const std::vector<ExperimentResult>& r
         static_cast<double>(r.prediction.utlb_misses);
     metrics[MetricKey(r, "trace_words")] = static_cast<double>(r.trace_words);
     metrics[MetricKey(r, "parser_errors")] = static_cast<double>(r.parser_errors);
-    if (r.trace_log_words > 0) {
-      metrics[MetricKey(r, "trace_compression")] = r.trace_compression;
-    }
     for (const ReplayVariantResult& v : r.replays) {
       metrics[MetricKey(r, ("replay." + v.name + ".predicted_seconds").c_str())] =
           static_cast<double>(v.prediction.PredictedCycles()) / options.clock_hz;
@@ -38,8 +35,8 @@ std::map<std::string, double> FlatMetrics(const std::vector<ExperimentResult>& r
           static_cast<double>(v.prediction.utlb_misses);
     }
   }
-  // Replay fan-out throughput across the capture-replay experiments (wall-
-  // clock dependent, like sim.mips below — a single global key).
+  // Analysis-tee throughput across the experiments (wall-clock dependent,
+  // like sim.mips below — a single global key).
   double replay_mrefs_sum = 0;
   size_t replay_experiments = 0;
   for (const ExperimentResult& r : results) {
@@ -149,16 +146,6 @@ void WriteExperiment(JsonWriter& writer, const ExperimentResult& r,
   writer.KV("traced_machine_instructions", r.traced_machine_instructions);
   writer.EndObject();
 
-  if (r.trace_log_words > 0) {
-    // The capture-replay pipeline's accounting: what the TraceLog held and
-    // how fast the fan-out consumed it.
-    writer.Key("capture").BeginObject();
-    writer.KV("trace_log_words", r.trace_log_words);
-    writer.KV("trace_log_bytes", r.trace_log_bytes);
-    writer.KV("compression_ratio", r.trace_compression);
-    writer.KV("replay_mrefs_per_sec", r.replay_mrefs_per_sec);
-    writer.EndObject();
-  }
   if (!r.replays.empty()) {
     writer.Key("replays").BeginArray();
     for (const ReplayVariantResult& v : r.replays) {

@@ -347,10 +347,22 @@ class Parser {
     }
   }
 
+  // Containers recurse, so nesting is capped well above any document this
+  // project writes (under 10 levels): hostile input fails with an Error
+  // instead of overflowing the stack.
+  static constexpr size_t kMaxDepth = 256;
+
+  void Descend() {
+    if (++depth_ > kMaxDepth) {
+      Fail(StrFormat("nesting deeper than %zu levels", kMaxDepth));
+    }
+  }
+
   JsonValue ParseValue() {
     char c = Peek();
     JsonValue value;
     if (c == '{') {
+      Descend();
       ++pos_;
       value.kind = JsonValue::Kind::kObject;
       if (!Consume('}')) {
@@ -361,9 +373,11 @@ class Parser {
         } while (Consume(','));
         Expect('}');
       }
+      --depth_;
       return value;
     }
     if (c == '[') {
+      Descend();
       ++pos_;
       value.kind = JsonValue::Kind::kArray;
       if (!Consume(']')) {
@@ -372,6 +386,7 @@ class Parser {
         } while (Consume(','));
         Expect(']');
       }
+      --depth_;
       return value;
     }
     if (c == '"') {
@@ -419,6 +434,7 @@ class Parser {
 
   std::string_view text_;
   size_t pos_ = 0;
+  size_t depth_ = 0;  // Open containers around pos_.
 };
 
 }  // namespace

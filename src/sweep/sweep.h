@@ -203,7 +203,7 @@ struct SweepResult {
   // harness divides points × refs by the pass wall time for the
   // sweep.mrefs_per_sec metric.
   size_t family_points = 0;
-  uint64_t wall_us = 0;           // Filled by the harness (capture mode).
+  uint64_t wall_us = 0;           // Filled by the harness.
 };
 
 class SweepEngine : public RefBatchSink {

@@ -54,17 +54,6 @@ inline bool PipelineEnabled() {
   return std::thread::hardware_concurrency() > 1;
 }
 
-// Worker count for chunk-parallel TraceLog decode (the replay-side use of
-// the same pipelining idea): 1 (serial) when the pipeline is disabled,
-// otherwise bounded by the host's hardware threads.
-inline unsigned PipelineDecodeWorkers() {
-  if (!PipelineEnabled()) {
-    return 1;
-  }
-  unsigned hw = std::thread::hardware_concurrency();
-  return hw < 2 ? 2 : (hw > 8 ? 8 : hw);
-}
-
 // A bounded SPSC ring of trace-word chunks.  Push copies the chunk (the
 // producer's buffer is the live kernel trace buffer, reused immediately
 // after the drain returns); Pop moves the oldest chunk out by swap, so

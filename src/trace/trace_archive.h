@@ -127,7 +127,6 @@ class ArchiveReader : public TraceChunkSource {
   // recovery scan instead — the readable prefix is served and degraded()
   // reports true with diagnostics().
   explicit ArchiveReader(const std::string& path);
-  ~ArchiveReader() override;
   ArchiveReader(const ArchiveReader&) = delete;
   ArchiveReader& operator=(const ArchiveReader&) = delete;
 
@@ -168,12 +167,23 @@ class ArchiveReader : public TraceChunkSource {
     uint32_t payload_crc = 0;
   };
 
-  const uint8_t* data() const { return static_cast<const uint8_t*>(map_); }
+  // The read-only file mapping.  A member with its own destructor, so the
+  // mapping is released even when the constructor rejects the file.
+  struct Mapping {
+    void* addr = nullptr;
+    uint64_t bytes = 0;
+    Mapping() = default;
+    Mapping(const Mapping&) = delete;
+    Mapping& operator=(const Mapping&) = delete;
+    ~Mapping();
+  };
+
+  const uint8_t* data() const { return static_cast<const uint8_t*>(map_.addr); }
   bool LoadFooter();
   void RecoverByScan(const std::string& reason);
 
   std::string path_;
-  void* map_ = nullptr;
+  Mapping map_;
   uint64_t file_bytes_ = 0;
   bool packed_ = true;
   bool degraded_ = false;

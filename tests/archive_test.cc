@@ -6,6 +6,7 @@
 // capture replays through the ReplayEngine to the exact analysis counters
 // the live run produced.
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -88,6 +89,26 @@ uint32_t FileU32(const std::string& bytes, size_t offset) {
          static_cast<uint32_t>(static_cast<uint8_t>(bytes[offset + 1])) << 8 |
          static_cast<uint32_t>(static_cast<uint8_t>(bytes[offset + 2])) << 16 |
          static_cast<uint32_t>(static_cast<uint8_t>(bytes[offset + 3])) << 24;
+}
+
+void PutFileU32(std::string& bytes, size_t offset, uint32_t value) {
+  for (int i = 0; i < 4; ++i) {
+    bytes[offset + i] = static_cast<char>(value >> (8 * i));
+  }
+}
+
+// True when some mapping of this process names the file at `path` — the
+// reader leaked its mmap (Linux /proc/self/maps).
+bool IsMapped(const std::string& path) {
+  const std::string canonical = std::filesystem::canonical(path).string();
+  std::ifstream maps("/proc/self/maps");
+  std::string line;
+  while (std::getline(maps, line)) {
+    if (line.find(canonical) != std::string::npos) {
+      return true;
+    }
+  }
+  return false;
 }
 
 // File offset of chunk `index`'s record header (walks the chunk framing).
@@ -372,6 +393,7 @@ TEST(ArchiveCorruption, WrongMagicIsAHardError) {
   bytes[0] = 'X';
   WriteFileBytes(path, bytes);
   EXPECT_THROW(ArchiveReader{path}, Error);
+  EXPECT_FALSE(IsMapped(path)) << "rejected archive left mapped";
 }
 
 TEST(ArchiveCorruption, UnknownVersionIsAHardError) {
@@ -379,11 +401,8 @@ TEST(ArchiveCorruption, UnknownVersionIsAHardError) {
   WriteTestArchive(path, SyntheticChunks(1, 10));
   std::string bytes = ReadFileBytes(path);
   bytes[4] = 99;  // version = 99 …
-  uint32_t crc =   // … with a valid header CRC, so only the version trips.
-      Crc32(reinterpret_cast<const uint8_t*>(bytes.data()), 20);
-  for (int i = 0; i < 4; ++i) {
-    bytes[20 + i] = static_cast<char>(crc >> (8 * i));
-  }
+  // … with a valid header CRC, so only the version trips.
+  PutFileU32(bytes, 20, Crc32(reinterpret_cast<const uint8_t*>(bytes.data()), 20));
   WriteFileBytes(path, bytes);
   try {
     ArchiveReader archive(path);
@@ -391,6 +410,29 @@ TEST(ArchiveCorruption, UnknownVersionIsAHardError) {
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("version"), std::string::npos) << e.what();
   }
+  EXPECT_FALSE(IsMapped(path)) << "rejected archive left mapped";
+}
+
+// Identity metadata is outside input: JSON nested past the parser's cap,
+// behind valid CRCs, is rejected with an Error rather than recursing the
+// reader off its stack.
+TEST(ArchiveCorruption, DeeplyNestedMetadataIsAHardError) {
+  const std::string path = TempPath("deepmeta.wrl");
+  WriteTestArchive(path, SyntheticChunks(1, 10));
+  const std::string bytes = ReadFileBytes(path);
+  const std::string meta = "{\"k\": " + std::string(300, '[') + std::string(300, ']') + "}";
+  std::string hostile = bytes.substr(0, 24) + meta + bytes.substr(24 + FileU32(bytes, 12));
+  PutFileU32(hostile, 12, static_cast<uint32_t>(meta.size()));
+  PutFileU32(hostile, 16, Crc32(reinterpret_cast<const uint8_t*>(meta.data()), meta.size()));
+  PutFileU32(hostile, 20, Crc32(reinterpret_cast<const uint8_t*>(hostile.data()), 20));
+  WriteFileBytes(path, hostile);
+  try {
+    ArchiveReader archive(path);
+    FAIL() << "deeply nested metadata accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting"), std::string::npos) << e.what();
+  }
+  EXPECT_FALSE(IsMapped(path)) << "rejected archive left mapped";
 }
 
 TEST(ArchiveCorruption, TruncatedHeaderIsAHardError) {
@@ -569,12 +611,13 @@ TEST(ArchiveExperiment, TeeReplaysToTheLiveAnalysisCountersBitForBit) {
   EXPECT_GT(compared, 10u);
 }
 
-// The capture-mode wiring oracle: RunExperiment's one analysis tee — the
+// The analysis wiring oracle: RunExperiment's one analysis tee — the
 // primary simulator, the profiler, the sweep engine, and one simulator per
-// variant the sweep cannot price — must match dedicated replays of the
-// archived capture bit for bit, sink by sink.  A Mach paper workload, so
-// that the page-map variant's different draw changes its miss counts.
-TEST(ArchiveExperiment, CaptureAnalysisTeeMatchesDedicatedReplays) {
+// variant the sweep cannot price, all fed live by the traced run — must
+// match dedicated replays of the archived trace bit for bit, sink by sink.
+// A Mach paper workload, so that the page-map variant's different draw
+// changes its miss counts.
+TEST(ArchiveExperiment, AnalysisTeeMatchesDedicatedReplays) {
   const Personality mach = Personality::kMach;
   const WorkloadSpec workload = PaperWorkload("compress", 0.02);
   const std::string path = TempPath("tee_oracle.wrl");
@@ -591,7 +634,6 @@ TEST(ArchiveExperiment, CaptureAnalysisTeeMatchesDedicatedReplays) {
   remap.page_map_mult = 7;
   ExperimentOptions options;
   options.personality = mach;
-  options.capture_replay = true;
   options.archive_path = path;
   options.profile = true;
   options.sweep.tlb_max_entries = 16;
@@ -602,7 +644,12 @@ TEST(ArchiveExperiment, CaptureAnalysisTeeMatchesDedicatedReplays) {
   EXPECT_TRUE(result.replays[0].swept);
   EXPECT_FALSE(result.replays[1].swept);
   EXPECT_FALSE(result.replays[2].swept);
-  EXPECT_GT(result.trace_log_words, 0u);
+  // Every run times its sinks from the tee's per-batch clock: each
+  // dedicated variant simulator, the replay throughput, and the sweep.
+  EXPECT_GT(result.replays[1].wall_us, 0u);
+  EXPECT_GT(result.replays[2].wall_us, 0u);
+  EXPECT_GT(result.replay_mrefs_per_sec, 0.0);
+  EXPECT_GT(result.sweep_mrefs_per_sec, 0.0);
 
   // The oracle: one dedicated replay per analysis, from the archive.
   ArchiveReader archive(path);
@@ -696,7 +743,6 @@ TEST(ArchiveExperiment, PipelinedAndSynchronousTeesWriteIdenticalArchives) {
   sync_options.archive_path = path_a;
   ExperimentOptions pipe_options;
   pipe_options.pipeline = true;
-  pipe_options.pipeline_depth = 3;
   pipe_options.archive_path = path_b;
   RunExperiment(UnitWorkload(), sync_options);
   RunExperiment(UnitWorkload(), pipe_options);
@@ -714,18 +760,18 @@ TEST(ArchiveExperiment, PipelinedAndSynchronousTeesWriteIdenticalArchives) {
   }
 }
 
+// The archive tee holds every word the traced kernel drained.  (The codec
+// the archive shares with TraceLog is pinned by
+// ArchiveRoundTrip.PayloadsShareTheTraceLogCodec.)
 TEST(ArchiveExperiment, CaptureReplayModeTeesTheSameCapture) {
   const std::string path = TempPath("tee_capture.wrl");
   ExperimentOptions options;
-  options.capture_replay = true;
   options.archive_path = path;
   ExperimentResult result = RunExperiment(UnitWorkload(), options);
 
   ArchiveReader archive(path);
-  EXPECT_EQ(archive.word_count(), result.trace_log_words);
-  // Shared codec: the on-disk payload bytes equal the TraceLog's packed
-  // footprint the experiment reported.
-  EXPECT_EQ(archive.payload_bytes(), result.trace_log_bytes);
+  EXPECT_GT(result.trace_words, 0u);
+  EXPECT_EQ(archive.word_count(), result.trace_words);
 }
 
 }  // namespace

@@ -117,6 +117,31 @@ TEST(JsonParse, MalformedInputThrows) {
   EXPECT_THROW(ParseJson("{} trailing"), Error);
 }
 
+// Containers recurse, so nesting is capped: a hostile document fails with
+// an Error naming the offset instead of overflowing the stack.
+TEST(JsonParse, DeepNestingIsRejected) {
+  try {
+    ParseJson(std::string(1000000, '['));
+    FAIL() << "a million nested arrays accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("offset 256"), std::string::npos) << e.what();
+  }
+  std::string objects;
+  for (int i = 0; i < 300; ++i) {
+    objects += "{\"k\":";
+  }
+  try {
+    ParseJson(objects);
+    FAIL() << "300 nested objects accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting"), std::string::npos) << e.what();
+  }
+  // Nesting up to the cap still parses.
+  EXPECT_NO_THROW(ParseJson(std::string(256, '[') + std::string(256, ']')));
+  EXPECT_THROW(ParseJson(std::string(257, '[') + std::string(257, ']')), Error);
+}
+
 // A run-report shaped document with the §5 headline counters (cycles, UTLB
 // misses, idle instructions) survives a write -> parse round trip intact.
 TEST(JsonRoundTrip, ExperimentReportShape) {

@@ -398,20 +398,21 @@ TEST(TraceProfiler, LiveAndReplayProfilesBitIdentical) {
 
 // ---- Experiment harness ------------------------------------------------
 
-TEST(ExperimentProfile, LiveVsCaptureReplayBitIdentical) {
+TEST(ExperimentProfile, SynchronousVsPipelinedBitIdentical) {
   WorkloadSpec workload = PaperWorkload("sed", 0.05);
   ExperimentOptions options;
   options.profile = true;
 
+  options.pipeline = false;
   ExperimentResult live = RunExperiment(workload, options);
-  options.capture_replay = true;
-  ExperimentResult replayed = RunExperiment(workload, options);
+  options.pipeline = true;
+  ExperimentResult pipelined = RunExperiment(workload, options);
 
   ASSERT_GT(live.profile.totals.refs, 0u);
-  EXPECT_EQ(live.profile.CanonicalJson(), replayed.profile.CanonicalJson());
+  EXPECT_EQ(live.profile.CanonicalJson(), pipelined.profile.CanonicalJson());
 
   // The wrlstats counters and the profile describe the same stream.
-  for (const ExperimentResult* r : {&live, &replayed}) {
+  for (const ExperimentResult* r : {&live, &pipelined}) {
     EXPECT_EQ(r->profile.totals.refs, r->stats.CounterValue("parser.refs"));
     EXPECT_EQ(r->profile.totals.insts, r->stats.CounterValue("parser.ifetches"));
     EXPECT_EQ(r->profile.totals.block_entries, r->stats.CounterValue("parser.blocks"));

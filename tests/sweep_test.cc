@@ -383,10 +383,10 @@ void ExpectSameSweep(const SweepResult& a, const SweepResult& b) {
   EXPECT_EQ(a.tlb.user_refs, b.tlb.user_refs);
 }
 
-TEST(SweepExperiment, LiveCaptureAndPipelinedModesAreBitIdentical) {
+TEST(SweepExperiment, LiveAndPipelinedModesAreBitIdentical) {
   WorkloadSpec w = UnitWorkload();
 
-  // The reference: live analysis, synchronous transport, batched.
+  // The reference: synchronous transport.
   ExperimentOptions live = SweepOptionsBase();
   live.pipeline = false;
   ExperimentResult reference = RunExperiment(w, live);
@@ -394,34 +394,12 @@ TEST(SweepExperiment, LiveCaptureAndPipelinedModesAreBitIdentical) {
   EXPECT_GT(reference.sweep.refs, 0u);
   EXPECT_EQ(reference.sweep.family_points, 10u);
 
-  {
-    SCOPED_TRACE("capture-replay");
-    ExperimentOptions options = SweepOptionsBase();
-    options.pipeline = false;
-    options.capture_replay = true;
-    ExperimentResult result = RunExperiment(w, options);
-    ASSERT_TRUE(result.sweep_ran);
-    ExpectSameSweep(result.sweep, reference.sweep);
-  }
-  {
-    SCOPED_TRACE("pipelined (WRL_PIPELINE=1 equivalent)");
-    ExperimentOptions options = SweepOptionsBase();
-    options.pipeline = true;
-    options.pipeline_depth = 3;
-    ExperimentResult result = RunExperiment(w, options);
-    ASSERT_TRUE(result.sweep_ran);
-    ExpectSameSweep(result.sweep, reference.sweep);
-  }
-  {
-    SCOPED_TRACE("pipelined capture-replay");
-    ExperimentOptions options = SweepOptionsBase();
-    options.pipeline = true;
-    options.pipeline_depth = 3;
-    options.capture_replay = true;
-    ExperimentResult result = RunExperiment(w, options);
-    ASSERT_TRUE(result.sweep_ran);
-    ExpectSameSweep(result.sweep, reference.sweep);
-  }
+  // Pipelined (the WRL_PIPELINE=1 equivalent).
+  ExperimentOptions options = SweepOptionsBase();
+  options.pipeline = true;
+  ExperimentResult result = RunExperiment(w, options);
+  ASSERT_TRUE(result.sweep_ran);
+  ExpectSameSweep(result.sweep, reference.sweep);
 }
 
 TEST(SweepEngine, ChunkParallelDecodeDeliversIdenticalSweep) {

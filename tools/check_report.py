@@ -9,6 +9,7 @@ One entry point for every JSON document the CI smoke jobs assert over:
     check_report.py sweep-smoke      sweep_smoke.json
     check_report.py wrlprof          wrlprof.json --folded wrlprof.folded
     check_report.py wrltrace-analysis live.json
+    check_report.py figure3          figure3.json     # bench_figure3 --json
 
 Each check loads the document, asserts the schema tag and the invariants
 that keep the report's consumers honest (counter presence, conservation
@@ -168,6 +169,29 @@ def check_wrltrace_analysis(path, args):
           f"{report['predicted_cycles']:.0f} predicted cycles")
 
 
+def check_figure3(path, args):
+    """The bench_figure3 run report: the what-if variants on every workload."""
+    report = load(path)
+    assert report["schema"] == "wrlstats/1", report.get("schema")
+    assert report["tool"] == "bench_figure3"
+    experiments = report["experiments"]
+    assert len(experiments) == 12, f"{len(experiments)} experiments"
+    names = ["cache32k", "cache16k", "slowmem", "wired16"]
+    for e in experiments:
+        replays = e["replays"]
+        assert [r["name"] for r in replays] == names, (e["workload"], replays)
+        # Geometry-only variants ride the sweep pass; the others get their
+        # own simulator on the analysis tee.
+        assert [r["swept"] for r in replays] == [True, True, False, False], e["workload"]
+        assert e["trace"]["parser_errors"] == 0, e["workload"]
+    metrics = report["metrics"]
+    assert metrics["replay.mrefs_per_sec"] > 0, metrics.get("replay.mrefs_per_sec")
+    assert metrics["sweep.mrefs_per_sec"] > 0, metrics.get("sweep.mrefs_per_sec")
+    print(f"figure3 OK: {len(experiments)} experiments x {len(names)} variants, "
+          f"replay {metrics['replay.mrefs_per_sec']:.1f} Mrefs/s, "
+          f"sweep {metrics['sweep.mrefs_per_sec']:.0f} Mrefs/s equivalent")
+
+
 CHECKS = {
     "wrlstats": check_wrlstats,
     "wrlverify": check_wrlverify,
@@ -175,6 +199,7 @@ CHECKS = {
     "sweep-smoke": check_sweep_smoke,
     "wrlprof": check_wrlprof,
     "wrltrace-analysis": check_wrltrace_analysis,
+    "figure3": check_figure3,
 }
 
 

@@ -5,11 +5,8 @@
 // and page that generated it — plus the §5 distortion accounting: trace
 // words and epoxie-inserted instructions charged per block.
 //
-// Two analysis modes, bit-identical by construction, that differ only in
-// where the drains go — the profiler always sits behind one parser:
-//   * capture (default): drains are captured into a TraceLog, which is
-//     replayed through the parser after the run;
-//   * --live: the parser consumes each drain during the traced run itself.
+// The profiler sits behind one parser that consumes each drain during the
+// traced run itself.
 //
 // The built-in reconciliation gate cross-checks the profile against the
 // wrlstats parser counters — Σ block insts == parser.ifetches, Σ loads ==
@@ -19,13 +16,13 @@
 //
 // Usage:
 //   wrlprof [--workload NAME] [--personality ultrix|mach] [--scale F]
-//           [--live] [--top N] [--window REFS] [--json PATH]
+//           [--top N] [--window REFS] [--json PATH]
 //           [--folded PATH] [--no-verify] [--quiet]
 //
 // --json writes a schema-versioned document ("wrlprof/1"):
 //   {
 //     "schema": "wrlprof/1", "tool": "wrlprof",
-//     "workload": ..., "personality": ..., "scale": ..., "mode": ...,
+//     "workload": ..., "personality": ..., "scale": ..., "mode": "live",
 //     "reconcile": {"exact": true, ...},
 //     "profile": { "totals": ..., "blocks": [...], "symbols": [...],
 //                  "pages": [...], "working_set": [...] },
@@ -47,7 +44,6 @@
 #include "support/json.h"
 #include "support/strings.h"
 #include "trace/parser.h"
-#include "trace/trace_log.h"
 #include "workloads/workloads.h"
 
 using namespace wrl;
@@ -58,7 +54,6 @@ struct CliOptions {
   std::string workload = "sed";
   Personality personality = Personality::kUltrix;
   double scale = 1.0;
-  bool live = false;
   size_t top = 10;
   uint64_t window_refs = 1u << 18;
   std::string json_path;
@@ -87,7 +82,7 @@ struct Reconcile {
 void Usage() {
   std::fprintf(stderr,
                "usage: wrlprof [--workload NAME] [--personality ultrix|mach] [--scale F]\n"
-               "               [--live] [--top N] [--window REFS] [--json PATH]\n"
+               "               [--top N] [--window REFS] [--json PATH]\n"
                "               [--folded PATH] [--no-verify] [--quiet]\n");
 }
 
@@ -166,9 +161,8 @@ void PrintTables(const TraceProfiler& profiler, const Profile& profile, size_t t
   (void)profiler;
 }
 
-void WriteJsonReport(const std::string& path, const CliOptions& cli, const char* mode,
-                     const Reconcile& reconcile, const Profile& profile,
-                     const TraceParserStats& pstats) {
+void WriteJsonReport(const std::string& path, const CliOptions& cli, const Reconcile& reconcile,
+                     const Profile& profile, const TraceParserStats& pstats) {
   JsonWriter writer;
   writer.BeginObject();
   writer.KV("schema", "wrlprof/1");
@@ -176,7 +170,7 @@ void WriteJsonReport(const std::string& path, const CliOptions& cli, const char*
   writer.KV("workload", cli.workload);
   writer.KV("personality", cli.personality == Personality::kUltrix ? "ultrix" : "mach");
   writer.KV("scale", cli.scale);
-  writer.KV("mode", mode);
+  writer.KV("mode", "live");  // The only mode; kept so the wrlprof/1 schema is unchanged.
 
   writer.Key("reconcile");
   writer.BeginObject();
@@ -232,8 +226,6 @@ int Run(int argc, char** argv) {
       }
     } else if (arg == "--scale" && i + 1 < argc) {
       cli.scale = std::atof(argv[++i]);
-    } else if (arg == "--live") {
-      cli.live = true;
     } else if (arg == "--top" && i + 1 < argc) {
       cli.top = static_cast<size_t>(std::atol(argv[++i]));
     } else if (arg == "--window" && i + 1 < argc) {
@@ -288,14 +280,8 @@ int Run(int argc, char** argv) {
   }
   parser.SetInitialContext(kKernelPid);
   parser.SetBatchSink(&profiler);
-  auto feed = [&parser](const uint32_t* words, size_t count) { parser.Feed(words, count); };
-  TraceLog trace_log;
-  if (cli.live) {
-    traced->SetTraceSink(feed);
-  } else {
-    traced->SetTraceSink(
-        [&trace_log](const uint32_t* words, size_t count) { trace_log.Append(words, count); });
-  }
+  traced->SetTraceSink(
+      [&parser](const uint32_t* words, size_t count) { parser.Feed(words, count); });
 
   RunResult run = traced->Run(cli.max_instructions);
   if (!run.halted) {
@@ -303,9 +289,6 @@ int Run(int argc, char** argv) {
                           workload.name.c_str(), traced->machine().pc()));
   }
 
-  if (!cli.live) {
-    trace_log.Replay(feed);
-  }
   parser.Finish();
   const TraceParserStats& pstats = parser.stats();
 
@@ -319,15 +302,13 @@ int Run(int argc, char** argv) {
   reconcile.totals = &profile.totals;
 
   if (!cli.quiet) {
-    std::printf("wrlprof: %s (%s, scale %g, %s analysis)\n", workload.name.c_str(),
-                cli.personality == Personality::kUltrix ? "ultrix" : "mach", cli.scale,
-                cli.live ? "live" : "capture-replay");
+    std::printf("wrlprof: %s (%s, scale %g, live analysis)\n", workload.name.c_str(),
+                cli.personality == Personality::kUltrix ? "ultrix" : "mach", cli.scale);
     PrintTables(profiler, profile, cli.top);
   }
 
   if (!cli.json_path.empty()) {
-    WriteJsonReport(cli.json_path, cli, cli.live ? "live" : "capture", reconcile, profile,
-                    pstats);
+    WriteJsonReport(cli.json_path, cli, reconcile, profile, pstats);
   }
   if (!cli.folded_path.empty()) {
     WriteTextFile(cli.folded_path, profile.FoldedStacks());
