@@ -312,7 +312,7 @@ void BM_PipelineDrain(benchmark::State& state) {
 BENCHMARK(BM_PipelineDrain);
 
 // Raw TraceLog unpack throughput: varint+delta decode of a packed multi-chunk
-// capture into trace words, the per-chunk work the parallel decoder fans out.
+// capture into trace words, the per-chunk work of every replay.
 void BM_TraceLogDecode(benchmark::State& state) {
   BareBuild build = BuildBareTraced(kBody);
   BareTraceRun run = RunBareTraced(build);

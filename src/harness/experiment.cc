@@ -2,17 +2,23 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
+#include <cstdint>
 #include <cstdio>
 #include <exception>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
 
+#include "kernel/kernel_config.h"
 #include "support/error.h"
 #include "support/strings.h"
+#include "trace/abi.h"
 #include "trace/parser.h"
 
 namespace wrl {
@@ -168,40 +174,6 @@ class ProgressMeter {
   std::thread monitor_;
 };
 
-SystemConfig MakeConfig(const WorkloadSpec& workload, const ExperimentOptions& options,
-                        bool tracing, EventRecorder* events) {
-  SystemConfig config;
-  config.personality = options.personality;
-  config.tracing = tracing;
-  config.clock_period = tracing
-                            ? options.clock_period * static_cast<uint32_t>(options.dilation)
-                            : options.clock_period;
-  config.program_source = workload.source;
-  config.program_name = workload.name;
-  config.files = workload.files;
-  config.trace_buf_bytes = options.trace_buf_bytes;
-  config.scavenge = options.scavenge;
-  config.events = events;
-  if (options.personality == Personality::kMach) {
-    config.policy = PagePolicy::kScrambled;
-    config.policy_mult = 9;
-  }
-  return config;
-}
-
-// Page mapping (paper §4.2): the simulator implements the policy.  Under
-// the deterministic policy this reproduces the measured run's map; under
-// Mach's random policy it is *a* mapping with the right distribution but
-// different draws — the repeatability problem the paper reports.
-PredictorConfig PrimaryConfig(const ExperimentOptions& options, const SystemInstance& measured) {
-  PredictorConfig config;
-  config.dilation = options.dilation;
-  config.page_map = options.personality == Personality::kMach
-                        ? measured.PageMap(13)  // Different permutation draw.
-                        : measured.PageMap();
-  return config;
-}
-
 // A trace-driven simulator with the original binaries, for the pixie-style
 // arithmetic-stall estimate.
 std::unique_ptr<TraceDrivenSimulator> MakeSimulator(const PredictorConfig& config,
@@ -210,22 +182,6 @@ std::unique_ptr<TraceDrivenSimulator> MakeSimulator(const PredictorConfig& confi
   simulator->AddTextImage(measured.kernel_exe());
   simulator->AddTextImage(measured.workload_orig());
   return simulator;
-}
-
-// The experiment's archive identity: harness keys first, caller extras
-// after.  MetaValue returns the first match, so the harness's own identity
-// is authoritative.
-ArchiveMeta HarnessArchiveMeta(const WorkloadSpec& workload, const ExperimentOptions& options) {
-  ArchiveMeta meta;
-  meta.emplace_back("workload", workload.name);
-  meta.emplace_back("personality", PersonalityName(options.personality));
-  meta.emplace_back("clock_period", std::to_string(options.clock_period));
-  meta.emplace_back("dilation", StrFormat("%.17g", options.dilation));
-  meta.emplace_back("trace_buf_bytes", std::to_string(options.trace_buf_bytes));
-  meta.emplace_back("scavenge", options.scavenge ? "1" : "0");
-  meta.emplace_back("max_instructions", std::to_string(options.max_instructions));
-  meta.insert(meta.end(), options.archive_meta.begin(), options.archive_meta.end());
-  return meta;
 }
 
 // ---- The measured run ----
@@ -595,6 +551,144 @@ Personality PersonalityFromName(const std::string& name) {
     return Personality::kMach;
   }
   throw Error("unknown personality '" + name + "' (expected 'ultrix' or 'mach')");
+}
+
+SystemConfig MakeConfig(const WorkloadSpec& workload, const ExperimentOptions& options,
+                        bool tracing, EventRecorder* events) {
+  SystemConfig config;
+  config.personality = options.personality;
+  config.tracing = tracing;
+  config.clock_period = tracing
+                            ? options.clock_period * static_cast<uint32_t>(options.dilation)
+                            : options.clock_period;
+  config.program_source = workload.source;
+  config.program_name = workload.name;
+  config.files = workload.files;
+  config.trace_buf_bytes = options.trace_buf_bytes;
+  config.scavenge = options.scavenge;
+  config.events = events;
+  if (options.personality == Personality::kMach) {
+    config.policy = PagePolicy::kScrambled;
+    config.policy_mult = 9;
+  }
+  return config;
+}
+
+// Page mapping (paper §4.2): the simulator implements the policy.  Mach's
+// random policy gives *a* mapping with the right distribution but different
+// draws — the repeatability problem the paper reports.
+PredictorConfig PrimaryConfig(const ExperimentOptions& options, const SystemInstance& measured) {
+  PredictorConfig config;
+  config.dilation = options.dilation;
+  config.page_map = options.personality == Personality::kMach
+                        ? measured.PageMap(13)  // Different permutation draw.
+                        : measured.PageMap();
+  return config;
+}
+
+ArchiveMeta HarnessArchiveMeta(const WorkloadSpec& workload, const ExperimentOptions& options) {
+  ArchiveMeta meta;
+  meta.emplace_back("workload", workload.name);
+  meta.emplace_back("personality", PersonalityName(options.personality));
+  meta.emplace_back("clock_period", std::to_string(options.clock_period));
+  meta.emplace_back("dilation", StrFormat("%.17g", options.dilation));
+  meta.emplace_back("trace_buf_bytes", std::to_string(options.trace_buf_bytes));
+  meta.emplace_back("scavenge", options.scavenge ? "1" : "0");
+  meta.emplace_back("max_instructions", std::to_string(options.max_instructions));
+  meta.insert(meta.end(), options.archive_meta.begin(), options.archive_meta.end());
+  return meta;
+}
+
+namespace {
+
+[[noreturn]] void BadMeta(const std::string& key, const std::string& value,
+                          const std::string& why) {
+  throw Error("archive metadata '" + key + "' = '" + value + "': " + why);
+}
+
+// A whole-string unsigned decimal in [min, max].
+uint64_t MetaUnsigned(const std::string& key, const std::string& value, uint64_t min,
+                      uint64_t max) {
+  uint64_t v = 0;
+  const char* end = value.data() + value.size();
+  auto [ptr, ec] = std::from_chars(value.data(), end, v);
+  if (ec != std::errc() || ptr != end) {
+    BadMeta(key, value, "not an unsigned decimal integer");
+  }
+  if (v < min || v > max) {
+    BadMeta(key, value,
+            StrFormat("outside [%llu, %llu]", static_cast<unsigned long long>(min),
+                      static_cast<unsigned long long>(max)));
+  }
+  return v;
+}
+
+// A whole-string finite number in [min, max].
+double MetaReal(const std::string& key, const std::string& value, double min, double max) {
+  double v = 0;
+  const char* end = value.data() + value.size();
+  auto [ptr, ec] = std::from_chars(value.data(), end, v);
+  if (ec != std::errc() || ptr != end || !std::isfinite(v)) {
+    BadMeta(key, value, "not a finite number");
+  }
+  if (v < min || v > max) {
+    BadMeta(key, value, StrFormat("outside [%.17g, %.17g]", min, max));
+  }
+  return v;
+}
+
+}  // namespace
+
+ArchivedExperiment ParseHarnessArchiveMeta(const ArchiveMeta& meta) {
+  static const std::vector<std::string> kHarnessKeys = {
+      "workload",        "personality", "clock_period",    "dilation",
+      "trace_buf_bytes", "scavenge",    "max_instructions"};
+  ArchivedExperiment out;
+  ExperimentOptions& options = out.options;
+  // The first value of each harness key is the identity; everything else is
+  // a caller extra.
+  std::map<std::string, std::string> harness;
+  for (const auto& [key, value] : meta) {
+    const bool is_harness =
+        std::find(kHarnessKeys.begin(), kHarnessKeys.end(), key) != kHarnessKeys.end();
+    if (!is_harness || !harness.emplace(key, value).second) {
+      options.archive_meta.emplace_back(key, value);
+    }
+  }
+  for (const std::string& key : kHarnessKeys) {
+    if (harness.count(key) == 0) {
+      throw Error("archive metadata has no '" + key +
+                  "' key (was the archive recorded by the experiment harness?)");
+    }
+  }
+
+  const std::string& personality = harness["personality"];
+  if (personality != PersonalityName(Personality::kUltrix) &&
+      personality != PersonalityName(Personality::kMach)) {
+    BadMeta("personality", personality, "expected 'ultrix' or 'mach'");
+  }
+  options.personality = PersonalityFromName(personality);
+  options.clock_period = static_cast<uint32_t>(
+      MetaUnsigned("clock_period", harness["clock_period"], 1, UINT32_MAX));
+  // The traced clock period (clock_period x whole dilation) must fit 32 bits.
+  options.dilation =
+      MetaReal("dilation", harness["dilation"], 1, UINT32_MAX / options.clock_period);
+  // Room for a full user-buffer copy plus slack, up to the kernel's region.
+  options.trace_buf_bytes = static_cast<uint32_t>(MetaUnsigned(
+      "trace_buf_bytes", harness["trace_buf_bytes"], 2 * kUserTraceBufBytes,
+      kKernelTraceBufMaxBytes));
+  options.scavenge = MetaUnsigned("scavenge", harness["scavenge"], 0, 1) == 1;
+  options.max_instructions =
+      MetaUnsigned("max_instructions", harness["max_instructions"], 1, UINT64_MAX);
+  double scale = 1.0;
+  for (const auto& [key, value] : options.archive_meta) {
+    if (key == "scale") {
+      scale = MetaReal(key, value, 0, kMaxArchiveScale);
+      break;
+    }
+  }
+  out.workload = PaperWorkload(harness["workload"], scale);
+  return out;
 }
 
 std::vector<std::string> ExperimentResult::Warnings() const {

@@ -229,6 +229,45 @@ struct ExperimentResult {
 // Runs one workload through both systems.
 ExperimentResult RunExperiment(const WorkloadSpec& workload, const ExperimentOptions& options);
 
+// The SystemConfig RunExperiment builds for the measured (tracing = false)
+// or traced half of an experiment: the traced half runs its clock dilated,
+// and Mach takes the scrambled page policy.
+SystemConfig MakeConfig(const WorkloadSpec& workload, const ExperimentOptions& options,
+                        bool tracing, EventRecorder* events = nullptr);
+
+// The primary simulator's configuration (paper §4.2): the options'
+// dilation, and the measured run's page map under the deterministic policy
+// or a different permutation draw under Mach's random one.
+PredictorConfig PrimaryConfig(const ExperimentOptions& options, const SystemInstance& measured);
+
+// The experiment's wrltrace/1 archive identity: the harness keys
+// (workload, personality, clock_period, dilation, trace_buf_bytes,
+// scavenge, max_instructions) first, then options.archive_meta.  Readers
+// take the first value of a key, so the harness's own identity wins.
+ArchiveMeta HarnessArchiveMeta(const WorkloadSpec& workload, const ExperimentOptions& options);
+
+// Upper bound on a paper workload's scale in archive metadata.
+constexpr double kMaxArchiveScale = 16.0;
+
+// An archive's identity parsed back (ParseHarnessArchiveMeta).
+struct ArchivedExperiment {
+  // PaperWorkload(name, scale), scale from the caller key "scale" (1 when
+  // absent, as PaperWorkload's default).
+  WorkloadSpec workload;
+  // Harness keys in their fields; every other entry, in order, in
+  // options.archive_meta.
+  ExperimentOptions options;
+};
+
+// The exact inverse of HarnessArchiveMeta over archive metadata, which is
+// untrusted input: every harness key must be present, and every numeric
+// value must parse as a whole string, be finite, and lie in the range an
+// experiment can run with (clock_period and trace_buf_bytes within the
+// kernel's limits, dilation >= 1 with a dilated clock that fits 32 bits,
+// scale in [0, kMaxArchiveScale]).  Anything else throws wrl::Error naming
+// the key and the value.
+ArchivedExperiment ParseHarnessArchiveMeta(const ArchiveMeta& meta);
+
 // Runs the full Table 2 / Table 3 suite for one personality.
 std::vector<ExperimentResult> RunSuite(const std::vector<WorkloadSpec>& workloads,
                                        const ExperimentOptions& options);

@@ -60,7 +60,7 @@ class SegmentCollectSink : public RefBatchSink {
 
 }  // namespace
 
-void ReplayEngine::Parse(unsigned decode_workers) {
+void ReplayEngine::Parse() {
   if (parsed_) {
     return;
   }
@@ -73,12 +73,8 @@ void ReplayEngine::Parse(unsigned decode_workers) {
   parser.SetInitialContext(source_.initial_context);
   SegmentCollectSink collector;
   parser.SetBatchSink(&collector);
-  auto feed = [&parser](const uint32_t* words, size_t count) { parser.Feed(words, count); };
-  if (decode_workers > 1) {
-    source_.log->ReplayParallel(decode_workers, feed);
-  } else {
-    source_.log->Replay(feed);
-  }
+  source_.log->Replay(
+      [&parser](const uint32_t* words, size_t count) { parser.Feed(words, count); });
   parser.Finish();
   parser_stats_ = parser.stats();
   parser_errors_ = parser.errors();
@@ -100,7 +96,7 @@ std::vector<ReplayEngine::Outcome> ReplayEngine::Run(const std::vector<Config>& 
 
 std::vector<ReplayEngine::Outcome> ReplayEngine::Run(const std::vector<Config>& configs,
                                                      const Options& options) {
-  Parse(options.decode_workers);
+  Parse();
   std::vector<Outcome> outcomes(configs.size());
   std::vector<std::exception_ptr> errors(configs.size());
   uint64_t fanout_wall0 = WallNowUs();

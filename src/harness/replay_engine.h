@@ -18,9 +18,10 @@
 // bit-for-bit, whatever Options::batch_refs is.
 //
 // RunExperiment does not use the engine: its analysis feeds each drain
-// through one parser and one TeeBatchSink as the traced run produces it.
-// The engine serves callers that replay one parse more than once
-// (tlb_study's fan-out and --check replays, `wrltrace replay`).
+// through one parser and one TeeBatchSink as the traced run produces it,
+// and `wrltrace replay`/`verify` likewise stream an archive through one
+// parser.  The engine serves callers that replay one parse more than once
+// (tlb_study's fan-out and --check replays).
 #ifndef WRLTRACE_HARNESS_REPLAY_ENGINE_H_
 #define WRLTRACE_HARNESS_REPLAY_ENGINE_H_
 
@@ -53,15 +54,12 @@ class ReplayEngine {
  public:
   explicit ReplayEngine(ReplaySource source) : source_(std::move(source)) {}
 
-  // Parses the log once and materializes the reference stream.  Idempotent;
-  // Run() calls it implicitly.  `decode_workers` > 1 decodes the log's
-  // independently coded chunks on that many worker threads while the parser
-  // consumes them strictly in capture order (TraceLog::ReplayParallel) —
-  // the parse sees the identical word sequence either way.  The dense
+  // Parses the log once (TraceChunkSource::Replay) and materializes the
+  // reference stream.  Idempotent; Run() calls it implicitly.  The dense
   // stream is reserved exactly once, from the parser's own ifetch+load+
   // store counters, so materialization never grows by reallocation; its
   // byte cost is exported as the `replay.materialized_bytes` metric.
-  void Parse(unsigned decode_workers = 1);
+  void Parse();
 
   const TraceParserStats& parser_stats() const { return parser_stats_; }
   const std::vector<std::string>& parser_errors() const { return parser_errors_; }
@@ -86,9 +84,6 @@ class ReplayEngine {
 
   struct Options {
     unsigned jobs = 1;
-    // Worker threads for the chunk-parallel TraceLog decode feeding the
-    // single parse (only the first Run/Parse pays this; 1 = serial).
-    unsigned decode_workers = 1;
     size_t batch_refs = kRefBatchCapacity;
     // When set, per-config timelines are absorbed here in config order
     // after the pool drains (deterministic regardless of scheduling).

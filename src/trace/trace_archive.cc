@@ -49,12 +49,11 @@ uint64_t ReadU64(const uint8_t* p) {
 }
 
 // Whether a chunk's framed word count is consistent with its payload size:
-// a raw payload holds exactly 4 bytes per word, and every packed word takes
-// at least one varint byte.  Checked (in 64 bits) before any decode, so a
-// hostile count can neither walk a decode past the payload nor size an
-// allocation beyond what the file itself holds.
-bool WordCountFits(uint64_t payload_bytes, uint64_t word_count, bool packed) {
-  return packed ? word_count <= payload_bytes : word_count * 4 == payload_bytes;
+// every packed word takes at least one varint byte.  Checked before any
+// decode, so a hostile count can neither walk a decode past the payload nor
+// size an allocation beyond what the file itself holds.
+bool WordCountFits(uint64_t payload_bytes, uint64_t word_count) {
+  return word_count <= payload_bytes;
 }
 
 std::string SerializeMeta(const ArchiveMeta& meta) {
@@ -93,19 +92,16 @@ uint32_t Crc32(const uint8_t* data, size_t size, uint32_t seed) {
 // ArchiveWriter
 // ---------------------------------------------------------------------------
 
-ArchiveWriter::ArchiveWriter(const std::string& path, const ArchiveMeta& meta,
-                             const Options& options)
-    : path_(path), packed_(options.packed) {
+ArchiveWriter::ArchiveWriter(const std::string& path, const ArchiveMeta& meta)
+    : path_(path) {
   file_ = std::fopen(path.c_str(), "wb");
   if (file_ == nullptr) {
     throw Error("archive: cannot create '" + path + "': " + std::strerror(errno));
   }
   const std::string meta_json = SerializeMeta(meta);
-  std::vector<uint8_t> header;
-  header.reserve(kHeaderBytes + meta_json.size());
-  header.insert(header.end(), kFileMagic, kFileMagic + 4);
+  std::vector<uint8_t> header(kFileMagic, kFileMagic + 4);
   PutU32(header, kArchiveVersion);
-  PutU32(header, packed_ ? kFlagPacked : 0u);
+  PutU32(header, kFlagPacked);
   PutU32(header, static_cast<uint32_t>(meta_json.size()));
   PutU32(header,
          Crc32(reinterpret_cast<const uint8_t*>(meta_json.data()), meta_json.size()));
@@ -135,14 +131,7 @@ void ArchiveWriter::WriteBytes(const void* data, size_t size) {
 void ArchiveWriter::Append(const uint32_t* words, size_t count) {
   WRL_CHECK_MSG(!finalized_, "ArchiveWriter::Append after Finalize");
   scratch_.clear();
-  if (packed_) {
-    codec::EncodeChunk(words, count, scratch_);
-  } else {
-    scratch_.reserve(count * 4);
-    for (size_t i = 0; i < count; ++i) {
-      PutU32(scratch_, words[i]);
-    }
-  }
+  codec::EncodeChunk(words, count, scratch_);
   DirEntry entry;
   entry.offset = bytes_written_;
   entry.payload_bytes = static_cast<uint32_t>(scratch_.size());
@@ -250,7 +239,10 @@ ArchiveReader::ArchiveReader(const std::string& path) : path_(path) {
     throw Error("archive: '" + path + "' is wrltrace version " + std::to_string(version) +
                 "; this build reads version " + std::to_string(kArchiveVersion));
   }
-  packed_ = (ReadU32(head + 8) & kFlagPacked) != 0;
+  if ((ReadU32(head + 8) & kFlagPacked) == 0) {
+    throw Error("archive: '" + path +
+                "' header lacks the packed flag (raw payloads are not read)");
+  }
   const uint32_t meta_bytes = ReadU32(head + 12);
   if (kHeaderBytes + static_cast<uint64_t>(meta_bytes) > file_bytes_) {
     throw Error("archive: '" + path + "' truncated inside identity metadata");
@@ -325,7 +317,7 @@ bool ArchiveReader::LoadFooter() {
     // word count its payload can hold.
     if (entry.offset < data_start_ ||
         entry.offset + kChunkHeadBytes + entry.payload_bytes > fstart ||
-        !WordCountFits(entry.payload_bytes, entry.word_count, packed_)) {
+        !WordCountFits(entry.payload_bytes, entry.word_count)) {
       return false;
     }
     payload_total += entry.payload_bytes;
@@ -388,7 +380,7 @@ void ArchiveReader::RecoverByScan(const std::string& reason) {
                              ": payload checksum mismatch; stopping");
       break;
     }
-    if (!WordCountFits(entry.payload_bytes, entry.word_count, packed_)) {
+    if (!WordCountFits(entry.payload_bytes, entry.word_count)) {
       diagnostics_.push_back("chunk " + std::to_string(directory_.size()) + " at offset " +
                              std::to_string(offset) + ": word count " +
                              std::to_string(entry.word_count) + " does not fit its " +
@@ -415,18 +407,12 @@ void ArchiveReader::DecodeChunk(size_t index, std::vector<uint32_t>& out) const 
     throw Error("archive: '" + path_ + "' chunk " + std::to_string(index) +
                 " payload checksum mismatch (corrupt archive)");
   }
-  if (!WordCountFits(entry.payload_bytes, entry.word_count, packed_)) {
+  if (!WordCountFits(entry.payload_bytes, entry.word_count)) {
     throw Error("archive: '" + path_ + "' chunk " + std::to_string(index) +
                 " payload size disagrees with its word count");
   }
   out.clear();
   out.reserve(entry.word_count);
-  if (!packed_) {
-    for (uint32_t i = 0; i < entry.word_count; ++i) {
-      out.push_back(ReadU32(payload + static_cast<size_t>(i) * 4));
-    }
-    return;
-  }
   if (!codec::DecodeChunkBounded(payload, entry.payload_bytes, entry.word_count, out)) {
     throw Error("archive: '" + path_ + "' chunk " + std::to_string(index) +
                 " payload is malformed (does not decode to its framed word count)");
@@ -474,15 +460,14 @@ bool ArchiveReader::Verify(std::vector<std::string>* findings) const {
       out.push_back("chunk " + std::to_string(i) + ": payload checksum mismatch");
       continue;
     }
-    if (!WordCountFits(entry.payload_bytes, entry.word_count, packed_)) {
+    if (!WordCountFits(entry.payload_bytes, entry.word_count)) {
       out.push_back("chunk " + std::to_string(i) +
                     ": payload size disagrees with its word count");
       continue;
     }
     buffer.clear();
     buffer.reserve(entry.word_count);
-    if (packed_ &&
-        !codec::DecodeChunkBounded(payload, entry.payload_bytes, entry.word_count, buffer)) {
+    if (!codec::DecodeChunkBounded(payload, entry.payload_bytes, entry.word_count, buffer)) {
       out.push_back("chunk " + std::to_string(i) + ": payload does not decode cleanly");
     }
   }

@@ -7,6 +7,8 @@
 //
 //   header   "wrlt" | version u32 | flags u32 | meta_bytes u32 |
 //            meta_crc u32 | header_crc u32
+//            flags must carry the packed bit (bit 0): every payload is
+//            chunk-codec coded.  A header without it is rejected.
 //   metadata meta_bytes of compact JSON: a flat object of string values
 //            carrying the capture's identity (workload, scale, personality,
 //            clock period, dilation, epoxie/scavenge settings, ...) —
@@ -25,13 +27,13 @@
 //
 // Crash-safety protocol: the writer streams each chunk (flushed as it
 // lands) and writes the footer only at Finalize().  A reader that finds a
-// valid footer seeks the directory in O(1) and can decode any window of
-// chunks in parallel.  A truncated or torn archive — missing footer, torn
+// valid footer seeks the directory in O(1).  A truncated or torn archive — missing footer, torn
 // final chunk, interrupted write — is *recovered*, not rejected: the reader
 // scans forward validating each chunk's framing CRC and payload CRC, keeps
 // every chunk up to the last valid one, and surfaces a loud
-// degraded-capture diagnostic.  Only a wrong magic or unknown version is a
-// hard failure.  Every CRC is IEEE CRC-32.
+// degraded-capture diagnostic.  Only a bad header (wrong magic, unknown
+// version, missing packed flag, corrupt metadata) is a hard failure.  Every
+// CRC is IEEE CRC-32.
 #ifndef WRLTRACE_TRACE_TRACE_ARCHIVE_H_
 #define WRLTRACE_TRACE_TRACE_ARCHIVE_H_
 
@@ -62,13 +64,7 @@ constexpr uint32_t kArchiveVersion = 1;
 // I/O failure.
 class ArchiveWriter {
  public:
-  struct Options {
-    bool packed = true;  // Delta/varint payloads; false stores raw words.
-  };
-
-  ArchiveWriter(const std::string& path, const ArchiveMeta& meta, const Options& options);
-  ArchiveWriter(const std::string& path, const ArchiveMeta& meta)
-      : ArchiveWriter(path, meta, Options()) {}
+  ArchiveWriter(const std::string& path, const ArchiveMeta& meta);
   ~ArchiveWriter();
   ArchiveWriter(const ArchiveWriter&) = delete;
   ArchiveWriter& operator=(const ArchiveWriter&) = delete;
@@ -106,7 +102,6 @@ class ArchiveWriter {
 
   std::string path_;
   std::FILE* file_ = nullptr;
-  bool packed_;
   bool finalized_ = false;
   std::vector<DirEntry> directory_;
   std::vector<uint8_t> scratch_;  // Reused payload encode buffer.
@@ -116,16 +111,17 @@ class ArchiveWriter {
 
 // Memory-maps a wrltrace/1 archive and serves it as a TraceChunkSource:
 // ReplayEngine (and everything downstream — simulators, sweeps, profilers)
-// replays an archive exactly as it would an in-memory TraceLog, including
-// windowed chunk-parallel decode via the directory.  Every DecodeChunk
-// verifies the chunk's CRC before trusting a byte, so a corrupt payload
-// surfaces as a chunk-accurate wrl::Error, never as garbage references.
+// replays an archive exactly as it would an in-memory TraceLog.  Every
+// DecodeChunk verifies the chunk's CRC before trusting a byte, so a corrupt
+// payload surfaces as a chunk-accurate wrl::Error, never as garbage
+// references.
 class ArchiveReader : public TraceChunkSource {
  public:
-  // Opens and indexes the archive.  Wrong magic or unknown version throws
-  // wrl::Error; a missing/torn footer or torn trailing chunk triggers the
-  // recovery scan instead — the readable prefix is served and degraded()
-  // reports true with diagnostics().
+  // Opens and indexes the archive.  A bad header (wrong magic, unknown
+  // version, no packed flag) throws wrl::Error naming the file; a
+  // missing/torn footer or torn trailing chunk triggers the recovery scan
+  // instead — the readable prefix is served and degraded() reports true
+  // with diagnostics().
   explicit ArchiveReader(const std::string& path);
   ArchiveReader(const ArchiveReader&) = delete;
   ArchiveReader& operator=(const ArchiveReader&) = delete;
@@ -136,7 +132,6 @@ class ArchiveReader : public TraceChunkSource {
   void DecodeChunk(size_t index, std::vector<uint32_t>& out) const override;
 
   const std::string& path() const { return path_; }
-  bool packed() const { return packed_; }
   uint64_t file_bytes() const { return file_bytes_; }
   // Sum of coded chunk payload bytes (the compressed capture proper).
   uint64_t payload_bytes() const { return payload_bytes_; }
@@ -185,7 +180,6 @@ class ArchiveReader : public TraceChunkSource {
   std::string path_;
   Mapping map_;
   uint64_t file_bytes_ = 0;
-  bool packed_ = true;
   bool degraded_ = false;
   uint64_t words_ = 0;
   uint64_t payload_bytes_ = 0;

@@ -10,7 +10,7 @@ void TraceLog::Append(const uint32_t* words, size_t count) {
   chunk_starts_.push_back(bytes_.size());
   words_ += count;
   // Fresh predictors per chunk (the codec's contract), so chunks decode
-  // independently — the chunk-parallel replay relies on this.
+  // independently.
   codec::EncodeChunk(words, count, bytes_);
 }
 

@@ -14,10 +14,9 @@
 //
 // Chunks are *independently* coded (predictors reset per chunk, start
 // offsets recorded), so TraceLog implements TraceChunkSource: any chunk
-// decodes without touching the ones before it, ReplayParallel() fans the
-// decode out to worker threads, and the analysis side treats an in-memory
-// capture and an on-disk wrltrace/1 archive (trace_archive.h)
-// interchangeably.
+// decodes without touching the ones before it, and the analysis side
+// treats an in-memory capture and an on-disk wrltrace/1 archive
+// (trace_archive.h) interchangeably.
 #ifndef WRLTRACE_TRACE_TRACE_LOG_H_
 #define WRLTRACE_TRACE_TRACE_LOG_H_
 

@@ -11,16 +11,19 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "harness/experiment.h"
 #include "harness/replay_engine.h"
+#include "kernel/kernel_config.h"
 #include "kernel/system_build.h"
 #include "sim/predictor.h"
 #include "sim/tlb_sim.h"
 #include "support/error.h"
+#include "support/json.h"
 #include "trace/chunk_codec.h"
 #include "trace/trace_archive.h"
 #include "trace/trace_log.h"
@@ -56,11 +59,9 @@ ArchiveMeta TestMeta() {
 }
 
 void WriteTestArchive(const std::string& path,
-                      const std::vector<std::vector<uint32_t>>& chunks, bool packed = true,
-                      bool finalize = true) {
-  ArchiveWriter::Options options;
-  options.packed = packed;
-  ArchiveWriter writer(path, TestMeta(), options);
+                      const std::vector<std::vector<uint32_t>>& chunks, bool finalize = true,
+                      const ArchiveMeta& meta = TestMeta()) {
+  ArchiveWriter writer(path, meta);
   for (const auto& chunk : chunks) {
     writer.Append(chunk);
   }
@@ -111,6 +112,16 @@ bool IsMapped(const std::string& path) {
   return false;
 }
 
+// The archive `bytes` with its identity metadata replaced by `meta`, behind
+// recomputed metadata and header CRCs.
+std::string WithMetadata(const std::string& bytes, const std::string& meta) {
+  std::string out = bytes.substr(0, 24) + meta + bytes.substr(24 + FileU32(bytes, 12));
+  PutFileU32(out, 12, static_cast<uint32_t>(meta.size()));
+  PutFileU32(out, 16, Crc32(reinterpret_cast<const uint8_t*>(meta.data()), meta.size()));
+  PutFileU32(out, 20, Crc32(reinterpret_cast<const uint8_t*>(out.data()), 20));
+  return out;
+}
+
 // File offset of chunk `index`'s record header (walks the chunk framing).
 size_t ChunkOffset(const std::string& bytes, size_t index) {
   size_t offset = 24 + FileU32(bytes, 12);  // Header + metadata.
@@ -137,7 +148,6 @@ TEST(ArchiveRoundTrip, WriterReaderBitIdentical) {
 
   ArchiveReader archive(path);
   EXPECT_FALSE(archive.degraded());
-  EXPECT_TRUE(archive.packed());
   ASSERT_EQ(archive.chunk_count(), chunks.size());
   EXPECT_EQ(archive.word_count(), 7u * 523u);
   EXPECT_EQ(archive.MetaValue("workload"), "synthetic");
@@ -157,18 +167,6 @@ TEST(ArchiveRoundTrip, WriterReaderBitIdentical) {
   EXPECT_TRUE(findings.empty());
 }
 
-TEST(ArchiveRoundTrip, RawPayloadMode) {
-  const std::string path = TempPath("raw.wrl");
-  auto chunks = SyntheticChunks(3, 97);
-  WriteTestArchive(path, chunks, /*packed=*/false);
-
-  ArchiveReader archive(path);
-  EXPECT_FALSE(archive.packed());
-  EXPECT_EQ(archive.payload_bytes(), 3u * 97u * 4u);
-  EXPECT_EQ(archive.Words(), AllWords(chunks));
-  EXPECT_TRUE(archive.Verify());
-}
-
 TEST(ArchiveRoundTrip, EmptyArchive) {
   const std::string path = TempPath("empty.wrl");
   WriteTestArchive(path, {});
@@ -177,25 +175,6 @@ TEST(ArchiveRoundTrip, EmptyArchive) {
   EXPECT_EQ(archive.chunk_count(), 0u);
   EXPECT_EQ(archive.word_count(), 0u);
   EXPECT_TRUE(archive.Verify());
-}
-
-TEST(ArchiveRoundTrip, ParallelDecodeMatchesSerial) {
-  const std::string path = TempPath("parallel.wrl");
-  auto chunks = SyntheticChunks(13, 301);
-  WriteTestArchive(path, chunks);
-  ArchiveReader archive(path);
-
-  std::vector<std::vector<uint32_t>> serial;
-  archive.Replay([&serial](const uint32_t* words, size_t count) {
-    serial.emplace_back(words, words + count);
-  });
-  std::vector<std::vector<uint32_t>> parallel;
-  archive.ReplayParallel(4, [&parallel](const uint32_t* words, size_t count) {
-    parallel.emplace_back(words, words + count);
-  });
-  // Identical words in identical chunk boundaries — the bit-identity
-  // invariant windowed decode is tested against.
-  EXPECT_EQ(serial, parallel);
 }
 
 TEST(ArchiveRoundTrip, PayloadsShareTheTraceLogCodec) {
@@ -218,7 +197,7 @@ TEST(ArchiveRoundTrip, PayloadsShareTheTraceLogCodec) {
 TEST(ArchiveCorruption, UnfinalizedWriterIsRecoverable) {
   const std::string path = TempPath("unfinalized.wrl");
   auto chunks = SyntheticChunks(4, 211);
-  WriteTestArchive(path, chunks, /*packed=*/true, /*finalize=*/false);
+  WriteTestArchive(path, chunks, /*finalize=*/false);
 
   ArchiveReader archive(path);
   EXPECT_TRUE(archive.degraded());
@@ -337,53 +316,43 @@ TEST(ArchiveCorruption, CorruptDirectoryFallsBackToScan) {
 }
 
 // A one-chunk archive whose record header and footer directory both claim
-// 0x40000001 words, with every CRC recomputed.  In raw mode 0x40000001 * 4
-// wraps to 4 in 32 bits — exactly the real payload size — so a 32-bit size
-// check accepts it and the decode walks ~4 GiB past the mapping; in either
-// mode an unchecked count sizes a 16 GiB allocation.  The reader must
-// reject the count before decoding or reserving anything.
+// 0x40000001 words, with every CRC recomputed.  An unchecked count would
+// walk the decode past the payload and size a 16 GiB allocation.  The
+// reader must reject the count before decoding or reserving anything.
 TEST(ArchiveCorruption, HostileWordCountIsRejected) {
   constexpr uint32_t kHostileWords = 0x40000001;
-  for (bool packed : {false, true}) {
-    SCOPED_TRACE(packed ? "packed" : "raw");
-    const std::string path = TempPath(packed ? "hostile_packed.wrl" : "hostile_raw.wrl");
-    WriteTestArchive(path, {{0x80001000}}, packed);
-    std::string bytes = ReadFileBytes(path);
-    auto put_u32 = [&bytes](size_t offset, uint32_t value) {
-      for (int i = 0; i < 4; ++i) {
-        bytes[offset + i] = static_cast<char>(value >> (8 * i));
-      }
-    };
-    auto crc = [&bytes](size_t offset, size_t size) {
-      return Crc32(reinterpret_cast<const uint8_t*>(bytes.data()) + offset, size);
-    };
-    const size_t chunk = ChunkOffset(bytes, 0);
-    ASSERT_EQ(FileU32(bytes, chunk + 8), 1u);  // The honest word count.
-    put_u32(chunk + 8, kHostileWords);
-    put_u32(chunk + 16, crc(chunk, 16));
-    // One-entry footer: fixed part (16) + directory entry (20) + CRC (4) +
-    // tail (12).
-    const size_t footer = bytes.size() - 52;
-    ASSERT_EQ(bytes.compare(footer, 4, "wrlf"), 0);
-    put_u32(footer + 8, kHostileWords);       // total_words (high half stays 0).
-    put_u32(footer + 16 + 12, kHostileWords);  // The entry's word_count.
-    put_u32(footer + 36, crc(footer, 36));
-    WriteFileBytes(path, bytes);
+  const std::string path = TempPath("hostile_words.wrl");
+  WriteTestArchive(path, {{0x80001000}});
+  std::string bytes = ReadFileBytes(path);
+  auto crc = [&bytes](size_t offset, size_t size) {
+    return Crc32(reinterpret_cast<const uint8_t*>(bytes.data()) + offset, size);
+  };
+  const size_t chunk = ChunkOffset(bytes, 0);
+  ASSERT_EQ(FileU32(bytes, chunk + 8), 1u);  // The honest word count.
+  PutFileU32(bytes, chunk + 8, kHostileWords);
+  PutFileU32(bytes, chunk + 16, crc(chunk, 16));
+  // One-entry footer: fixed part (16) + directory entry (20) + CRC (4) +
+  // tail (12).
+  const size_t footer = bytes.size() - 52;
+  ASSERT_EQ(bytes.compare(footer, 4, "wrlf"), 0);
+  PutFileU32(bytes, footer + 8, kHostileWords);       // total_words (high half stays 0).
+  PutFileU32(bytes, footer + 16 + 12, kHostileWords);  // The entry's word_count.
+  PutFileU32(bytes, footer + 36, crc(footer, 36));
+  WriteFileBytes(path, bytes);
 
-    ArchiveReader archive(path);
-    EXPECT_TRUE(archive.degraded());
-    EXPECT_EQ(archive.chunk_count(), 0u);
-    EXPECT_EQ(archive.word_count(), 0u);
-    bool named = false;
-    for (const std::string& line : archive.diagnostics()) {
-      named = named || (line.find("chunk 0") != std::string::npos &&
-                        line.find("word count") != std::string::npos);
-    }
-    EXPECT_TRUE(named) << "diagnostics must name the chunk and its word count";
-    std::vector<std::string> findings;
-    EXPECT_FALSE(archive.Verify(&findings));
-    EXPECT_FALSE(findings.empty());
+  ArchiveReader archive(path);
+  EXPECT_TRUE(archive.degraded());
+  EXPECT_EQ(archive.chunk_count(), 0u);
+  EXPECT_EQ(archive.word_count(), 0u);
+  bool named = false;
+  for (const std::string& line : archive.diagnostics()) {
+    named = named || (line.find("chunk 0") != std::string::npos &&
+                      line.find("word count") != std::string::npos);
   }
+  EXPECT_TRUE(named) << "diagnostics must name the chunk and its word count";
+  std::vector<std::string> findings;
+  EXPECT_FALSE(archive.Verify(&findings));
+  EXPECT_FALSE(findings.empty());
 }
 
 TEST(ArchiveCorruption, WrongMagicIsAHardError) {
@@ -413,19 +382,35 @@ TEST(ArchiveCorruption, UnknownVersionIsAHardError) {
   EXPECT_FALSE(IsMapped(path)) << "rejected archive left mapped";
 }
 
+// Every payload is chunk-codec coded; a header whose flags word lacks the
+// packed bit is rejected, not decoded.
+TEST(ArchiveCorruption, UnpackedHeaderIsAHardError) {
+  const std::string path = TempPath("unpacked.wrl");
+  WriteTestArchive(path, SyntheticChunks(1, 10));
+  std::string bytes = ReadFileBytes(path);
+  ASSERT_EQ(FileU32(bytes, 8), 1u);  // flags = packed.
+  PutFileU32(bytes, 8, 0);
+  // A valid header CRC, so only the missing flag trips.
+  PutFileU32(bytes, 20, Crc32(reinterpret_cast<const uint8_t*>(bytes.data()), 20));
+  WriteFileBytes(path, bytes);
+  try {
+    ArchiveReader archive(path);
+    FAIL() << "header without the packed flag accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("packed"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
+  }
+  EXPECT_FALSE(IsMapped(path)) << "rejected archive left mapped";
+}
+
 // Identity metadata is outside input: JSON nested past the parser's cap,
 // behind valid CRCs, is rejected with an Error rather than recursing the
 // reader off its stack.
 TEST(ArchiveCorruption, DeeplyNestedMetadataIsAHardError) {
   const std::string path = TempPath("deepmeta.wrl");
   WriteTestArchive(path, SyntheticChunks(1, 10));
-  const std::string bytes = ReadFileBytes(path);
   const std::string meta = "{\"k\": " + std::string(300, '[') + std::string(300, ']') + "}";
-  std::string hostile = bytes.substr(0, 24) + meta + bytes.substr(24 + FileU32(bytes, 12));
-  PutFileU32(hostile, 12, static_cast<uint32_t>(meta.size()));
-  PutFileU32(hostile, 16, Crc32(reinterpret_cast<const uint8_t*>(meta.data()), meta.size()));
-  PutFileU32(hostile, 20, Crc32(reinterpret_cast<const uint8_t*>(hostile.data()), 20));
-  WriteFileBytes(path, hostile);
+  WriteFileBytes(path, WithMetadata(ReadFileBytes(path), meta));
   try {
     ArchiveReader archive(path);
     FAIL() << "deeply nested metadata accepted";
@@ -433,6 +418,55 @@ TEST(ArchiveCorruption, DeeplyNestedMetadataIsAHardError) {
     EXPECT_NE(std::string(e.what()).find("nesting"), std::string::npos) << e.what();
   }
   EXPECT_FALSE(IsMapped(path)) << "rejected archive left mapped";
+}
+
+// Metadata values are outside input too.  The harness's parser of its own
+// identity keys rejects every value an experiment could not have run with
+// (an out-of-range float-to-int conversion, a kernel buffer past its
+// region, a personality it does not know), naming the key and the value.
+TEST(ArchiveCorruption, HostileMetadataValuesAreRejected) {
+  ExperimentOptions options;
+  options.archive_meta.emplace_back("scale", "0.05");
+  const ArchiveMeta honest = HarnessArchiveMeta(PaperWorkload("sed", 0.05), options);
+  const std::string path = TempPath("hostilemeta.wrl");
+  WriteTestArchive(path, SyntheticChunks(1, 10), /*finalize=*/true, honest);
+  const std::string pristine = ReadFileBytes(path);
+  {
+    // The control: the honest identity parses back to exactly what wrote it.
+    ArchiveReader archive(path);
+    const ArchivedExperiment parsed = ParseHarnessArchiveMeta(archive.meta());
+    EXPECT_EQ(parsed.workload.source, PaperWorkload("sed", 0.05).source);
+    EXPECT_NE(parsed.workload.source, PaperWorkload("sed").source);  // Scale applied.
+    EXPECT_EQ(HarnessArchiveMeta(parsed.workload, parsed.options), honest);
+  }
+
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"dilation", "-1"},
+      {"dilation", "nan"},
+      {"scale", "1e300"},
+      {"clock_period", "0"},
+      {"trace_buf_bytes", std::to_string(kKernelTraceBufMaxBytes + 4)},
+      {"personality", "vms"},
+  };
+  for (const auto& [key, value] : cases) {
+    SCOPED_TRACE(key + " = " + value);
+    JsonWriter json(0);
+    json.BeginObject();
+    for (const auto& [k, v] : honest) {
+      json.KV(k, k == key ? value : v);
+    }
+    json.EndObject();
+    WriteFileBytes(path, WithMetadata(pristine, json.TakeString()));
+    ArchiveReader archive(path);  // The header is valid; only the values lie.
+    ASSERT_EQ(archive.MetaValue(key), value);
+    try {
+      ParseHarnessArchiveMeta(archive.meta());
+      FAIL() << "hostile metadata accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + key + "'"), std::string::npos) << e.what();
+      EXPECT_NE(std::string(e.what()).find(value), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(ArchiveCorruption, TruncatedHeaderIsAHardError) {
@@ -480,27 +514,6 @@ WorkloadSpec UnitWorkload() {
   w.description = "tiny compute kernel";
   w.source = kBody;
   return w;
-}
-
-// Rebuilds one half of the capturing system (deterministic builds), exactly
-// what a separate process replaying the archive would do.
-std::unique_ptr<SystemInstance> BuildCapturingSystem(
-    const WorkloadSpec& workload, bool tracing, bool scavenge,
-    Personality personality = Personality::kUltrix) {
-  SystemConfig config;
-  config.personality = personality;
-  if (personality == Personality::kMach) {  // The harness's Mach page policy.
-    config.policy = PagePolicy::kScrambled;
-    config.policy_mult = 9;
-  }
-  config.tracing = tracing;
-  config.clock_period = tracing ? 200000 * 15 : 200000;
-  config.program_source = workload.source;
-  config.program_name = workload.name;
-  config.files = workload.files;
-  config.trace_buf_bytes = 16u << 20;
-  config.scavenge = scavenge;
-  return BuildSystem(config);
 }
 
 ReplaySource UnitSource(const TraceChunkSource* log, const SystemInstance& traced,
@@ -572,13 +585,12 @@ TEST(ArchiveExperiment, TeeReplaysToTheLiveAnalysisCountersBitForBit) {
   EXPECT_EQ(archive.word_count(), live.trace_words);
   EXPECT_EQ(archive.MetaValue("workload"), "unit");
 
-  auto measured = BuildCapturingSystem(UnitWorkload(), false, options.scavenge);
-  auto traced = BuildCapturingSystem(UnitWorkload(), true, options.scavenge);
+  // Rebuilt as a separate replaying process would: deterministic builds
+  // from the harness's own configuration.
+  auto measured = BuildSystem(MakeConfig(UnitWorkload(), options, false));
+  auto traced = BuildSystem(MakeConfig(UnitWorkload(), options, true));
 
-  PredictorConfig pconfig;
-  pconfig.dilation = options.dilation;
-  pconfig.page_map = measured->PageMap();
-  TraceDrivenSimulator simulator(pconfig);
+  TraceDrivenSimulator simulator(PrimaryConfig(options, *measured));
   simulator.AddTextImage(measured->kernel_exe());
   simulator.AddTextImage(measured->workload_orig());
 
@@ -653,11 +665,9 @@ TEST(ArchiveExperiment, AnalysisTeeMatchesDedicatedReplays) {
 
   // The oracle: one dedicated replay per analysis, from the archive.
   ArchiveReader archive(path);
-  auto measured = BuildCapturingSystem(workload, false, options.scavenge, mach);
-  auto traced = BuildCapturingSystem(workload, true, options.scavenge, mach);
-  PredictorConfig pconfig;
-  pconfig.dilation = options.dilation;
-  pconfig.page_map = measured->PageMap(13);  // The harness's Mach draw.
+  auto measured = BuildSystem(MakeConfig(workload, options, false));
+  auto traced = BuildSystem(MakeConfig(workload, options, true));
+  const PredictorConfig pconfig = PrimaryConfig(options, *measured);
   auto simulator = [&measured](const PredictorConfig& config) {
     auto sim = std::make_unique<TraceDrivenSimulator>(config);
     sim->AddTextImage(measured->kernel_exe());

@@ -3,10 +3,8 @@
 // byte-identical to the synchronous one — every counter, trace word,
 // profile, and predicted number — in live, capture-replay, profiled, and
 // per-ref-shim modes.  The transport itself must apply backpressure when
-// the consumer is slow, count its stalls/starves, shut down cleanly when
-// the consumer chain throws mid-stream, and the replay-side chunk-parallel
-// TraceLog decode must deliver the identical word sequence and chunk
-// boundaries at every worker count.
+// the consumer is slow, count its stalls/starves, and shut down cleanly
+// when the consumer chain throws mid-stream.
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -19,10 +17,8 @@
 #include "harness/bare_runtime.h"
 #include "harness/experiment.h"
 #include "harness/replay_engine.h"
-#include "sim/tlb_sim.h"
 #include "stats/stats.h"
 #include "support/error.h"
-#include "support/rng.h"
 #include "trace/chunk_ring.h"
 #include "trace/trace_log.h"
 
@@ -171,134 +167,7 @@ TEST(TracePipeline, AbandonedPipelineJoinsQuietly) {
   // Destructor runs here with the error still queued.
 }
 
-// ---- Chunk-parallel TraceLog decode ----
-
-TEST(TraceLogParallel, DecodeEquivalenceAcrossWorkerCounts) {
-  // Enough chunks to exceed every worker count's in-flight window, with
-  // adversarial random words (every top nibble, variable chunk sizes).
-  Rng rng(1234);
-  TraceLog log;
-  for (int chunk = 0; chunk < 23; ++chunk) {
-    std::vector<uint32_t> words(1 + rng.Below(257));
-    for (auto& w : words) {
-      w = rng.Below(0xffffffffu);
-    }
-    log.Append(words.data(), words.size());
-  }
-
-  std::vector<uint32_t> ref_words;
-  std::vector<size_t> ref_chunks;
-  log.Replay([&](const uint32_t* w, size_t n) {
-    ref_words.insert(ref_words.end(), w, w + n);
-    ref_chunks.push_back(n);
-  });
-
-  for (unsigned workers : {1u, 2u, 3u, 8u}) {
-    SCOPED_TRACE(workers);
-    std::vector<uint32_t> words;
-    std::vector<size_t> chunks;
-    log.ReplayParallel(workers, [&](const uint32_t* w, size_t n) {
-      words.insert(words.end(), w, w + n);
-      chunks.push_back(n);
-    });
-    EXPECT_EQ(words, ref_words);
-    EXPECT_EQ(chunks, ref_chunks);
-  }
-}
-
-TEST(TraceLogParallel, DecodeEquivalenceOnRealTrace) {
-  BareBuild build = BuildBareTraced(kBody);
-  BareTraceRun run = RunBareTraced(build);
-  ASSERT_GT(run.trace_words.size(), 64u);
-
-  // Append in slices so the log has several independently coded chunks,
-  // like a multi-drain capture.
-  TraceLog log;
-  size_t slice = run.trace_words.size() / 5 + 1;
-  for (size_t off = 0; off < run.trace_words.size(); off += slice) {
-    size_t count = std::min(slice, run.trace_words.size() - off);
-    log.Append(run.trace_words.data() + off, count);
-  }
-  ASSERT_GT(log.chunks(), 1u);
-
-  for (unsigned workers : {2u, 4u}) {
-    SCOPED_TRACE(workers);
-    std::vector<uint32_t> words;
-    log.ReplayParallel(workers,
-                       [&](const uint32_t* w, size_t n) { words.insert(words.end(), w, w + n); });
-    EXPECT_EQ(words, run.trace_words);
-  }
-}
-
-TEST(TraceLogParallel, SinkErrorPropagatesWithoutHanging) {
-  Rng rng(7);
-  TraceLog log;
-  for (int chunk = 0; chunk < 16; ++chunk) {
-    std::vector<uint32_t> words(64);
-    for (auto& w : words) {
-      w = rng.Below(0xffffffffu);
-    }
-    log.Append(words.data(), words.size());
-  }
-  size_t delivered = 0;
-  EXPECT_THROW(log.ReplayParallel(4,
-                                  [&](const uint32_t*, size_t) {
-                                    if (++delivered == 3) {
-                                      throw Error("analysis failed");
-                                    }
-                                  }),
-               Error);
-  EXPECT_EQ(delivered, 3u);  // Strict order: nothing past the failure.
-}
-
-// ---- ReplayEngine: parallel decode identity and exact materialization ----
-
-TEST(ReplayEngine, ParallelDecodeMatchesSerialParse) {
-  BareBuild build = BuildBareTraced(kBody);
-  BareTraceRun run = RunBareTraced(build);
-
-  TraceLog log;
-  size_t slice = run.trace_words.size() / 7 + 1;
-  for (size_t off = 0; off < run.trace_words.size(); off += slice) {
-    size_t count = std::min(slice, run.trace_words.size() - off);
-    log.Append(run.trace_words.data() + off, count);
-  }
-  ASSERT_GT(log.chunks(), 1u);
-
-  auto make_engine = [&] {
-    ReplaySource source;
-    source.log = &log;
-    source.kernel_table = &build.table;
-    return ReplayEngine(std::move(source));
-  };
-
-  ReplayEngine serial = make_engine();
-  serial.Parse(1);
-  ReplayEngine parallel = make_engine();
-  parallel.Parse(4);
-
-  EXPECT_EQ(parallel.parser_stats().words, serial.parser_stats().words);
-  EXPECT_EQ(parallel.parser_stats().refs, serial.parser_stats().refs);
-  EXPECT_EQ(parallel.parser_stats().blocks, serial.parser_stats().blocks);
-  EXPECT_EQ(parallel.parser_stats().validation_errors, serial.parser_stats().validation_errors);
-  ASSERT_EQ(parallel.refs().size(), serial.refs().size());
-  for (size_t i = 0; i < serial.refs().size(); ++i) {
-    const TraceRef& a = serial.refs()[i];
-    const TraceRef& b = parallel.refs()[i];
-    ASSERT_TRUE(a.kind == b.kind && a.addr == b.addr && a.bytes == b.bytes && a.pid == b.pid &&
-                a.kernel == b.kernel && a.idle == b.idle)
-        << "ref " << i << " diverged";
-  }
-
-  // Same downstream analysis either way.
-  ReplayEngine::Options options;
-  std::vector<ReplayEngine::Config> configs;
-  configs.push_back({"tlb", [] { return std::make_unique<TlbSimulator>(); }});
-  auto a = serial.Run(configs, options);
-  auto b = parallel.Run(configs, options);
-  EXPECT_EQ(static_cast<TlbSimulator*>(a[0].sink.get())->stats().utlb_misses,
-            static_cast<TlbSimulator*>(b[0].sink.get())->stats().utlb_misses);
-}
+// ---- ReplayEngine: exact materialization ----
 
 TEST(ReplayEngine, MaterializesExactlyOnce) {
   BareBuild build = BuildBareTraced(kBody);

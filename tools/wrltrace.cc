@@ -18,21 +18,22 @@
 //       and any degraded-capture diagnostics.
 //   verify  FILE
 //       Full integrity sweep: every framing CRC, every payload CRC, every
-//       payload bounds-decoded, then the capture parsed through the §4.3
-//       trace-parser defenses of a freshly rebuilt system.  Exit 0 only
-//       when everything is clean.
+//       payload bounds-decoded, then the capture streamed once through the
+//       §4.3 trace-parser defenses of a freshly rebuilt system.  Exit 0
+//       only when everything is clean.
 //   cat     FILE [--chunk I] [--limit N]
 //       Decoded trace words as hex, one per line.
-//   replay  FILE [--json PATH] [--expect PATH] [--decode-workers N]
-//       Rebuild the capturing system from metadata, replay the archive
-//       through the ReplayEngine, and (with --expect) require every
-//       analysis counter to match a `record --json` document bit-for-bit.
+//   replay  FILE [--json PATH] [--expect PATH]
+//       Rebuild the capturing system from metadata, stream the archive once
+//       through one trace parser into the trace-driven simulator, and (with
+//       --expect) require every analysis counter to match a `record --json`
+//       document bit-for-bit.
 //   diff    A B
 //       Byte-level (chunk framing + payload CRCs) and reference-level
 //       (decoded word streams) comparison; exit 0 only when identical.
 //
 // Exit codes: 0 ok/identical, 1 difference or integrity finding, 2 usage
-// or hard error (wrong magic, unreadable file, unknown workload).
+// or hard error (bad header, unreadable file, invalid identity metadata).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -43,11 +44,11 @@
 #include <vector>
 
 #include "harness/experiment.h"
-#include "harness/replay_engine.h"
 #include "kernel/system_build.h"
 #include "support/error.h"
 #include "support/json.h"
 #include "support/strings.h"
+#include "trace/parser.h"
 #include "trace/trace_archive.h"
 #include "workloads/workloads.h"
 
@@ -63,7 +64,7 @@ void Usage() {
       "       wrltrace info FILE [--json PATH]\n"
       "       wrltrace verify FILE\n"
       "       wrltrace cat FILE [--chunk I] [--limit N]\n"
-      "       wrltrace replay FILE [--json PATH] [--expect PATH] [--decode-workers N]\n"
+      "       wrltrace replay FILE [--json PATH] [--expect PATH]\n"
       "       wrltrace diff A B\n");
 }
 
@@ -119,75 +120,38 @@ void WriteAnalysisJson(const std::string& path, const std::string& mode,
   WriteTextFile(path, writer.TakeString() + "\n");
 }
 
-// The capturing system, rebuilt deterministically from archive metadata: the
-// measured instance supplies the page map and original binaries, the traced
-// instance the instrumentation tables — the exact inputs the live analysis
-// used, so the replay is bit-identical by construction.
+// The capturing system, rebuilt deterministically from archive metadata
+// with the harness's own configuration: the measured instance supplies the
+// page map and original binaries, the traced instance the instrumentation
+// tables — the exact inputs the live analysis used, so the replay is
+// bit-identical by construction.
 struct RebuiltSystems {
-  WorkloadSpec workload;
-  Personality personality = Personality::kUltrix;
-  double scale = 1.0;
+  ArchivedExperiment experiment;
   std::unique_ptr<SystemInstance> measured;
   std::unique_ptr<SystemInstance> traced;
-  PredictorConfig pconfig;
 };
 
 RebuiltSystems RebuildFromMeta(const ArchiveReader& archive) {
   RebuiltSystems sys;
-  const std::string workload_name = archive.MetaValue("workload");
-  if (workload_name.empty()) {
-    throw Error("wrltrace: archive has no 'workload' metadata — cannot rebuild the "
-                "capturing system (was it recorded by the harness?)");
-  }
-  sys.personality = PersonalityFromName(archive.MetaValue("personality", "ultrix"));
-  sys.scale = std::strtod(archive.MetaValue("scale", "1").c_str(), nullptr);
-  sys.workload = PaperWorkload(workload_name, sys.scale);
-
-  const uint32_t clock_period = static_cast<uint32_t>(
-      std::strtoul(archive.MetaValue("clock_period", "200000").c_str(), nullptr, 10));
-  const double dilation = std::strtod(archive.MetaValue("dilation", "15").c_str(), nullptr);
-  const bool scavenge = archive.MetaValue("scavenge", "1") != "0";
-  const uint32_t trace_buf_bytes = static_cast<uint32_t>(
-      std::strtoul(archive.MetaValue("trace_buf_bytes", "16777216").c_str(), nullptr, 10));
-
-  auto make_config = [&](bool tracing) {
-    SystemConfig config;
-    config.personality = sys.personality;
-    config.tracing = tracing;
-    config.clock_period =
-        tracing ? clock_period * static_cast<uint32_t>(dilation) : clock_period;
-    config.program_source = sys.workload.source;
-    config.program_name = sys.workload.name;
-    config.files = sys.workload.files;
-    config.trace_buf_bytes = trace_buf_bytes;
-    config.scavenge = scavenge;
-    if (sys.personality == Personality::kMach) {
-      config.policy = PagePolicy::kScrambled;
-      config.policy_mult = 9;
-    }
-    return config;
-  };
-  sys.measured = BuildSystem(make_config(false));
-  sys.traced = BuildSystem(make_config(true));
-
-  sys.pconfig.dilation = dilation;
-  // Same page-map draws the harness makes (experiment.cc): deterministic
-  // policy reproduces the measured map; Mach takes a different permutation.
-  sys.pconfig.page_map = sys.personality == Personality::kMach
-                             ? sys.measured->PageMap(13)
-                             : sys.measured->PageMap();
+  sys.experiment = ParseHarnessArchiveMeta(archive.meta());
+  sys.measured = BuildSystem(MakeConfig(sys.experiment.workload, sys.experiment.options, false));
+  sys.traced = BuildSystem(MakeConfig(sys.experiment.workload, sys.experiment.options, true));
   return sys;
 }
 
-ReplaySource MakeSource(const ArchiveReader& archive, const RebuiltSystems& sys) {
-  ReplaySource source;
-  source.log = &archive;
-  source.kernel_table = &sys.traced->kernel_table();
-  source.user_tables.emplace_back(1, &sys.traced->user_table());
-  if (sys.personality == Personality::kMach) {
-    source.user_tables.emplace_back(2, &sys.traced->server_table());
+// One pass over the capture: each chunk, decoded in capture order, feeds a
+// parser keyed by the rebuilt traced system's tables.  `sink` receives the
+// reconstructed references; null keeps only the parser's counters and
+// errors.
+void ParseArchive(const ArchiveReader& archive, const RebuiltSystems& sys, RefBatchSink* sink,
+                  TraceParser& parser) {
+  parser.SetUserTable(1, &sys.traced->user_table());
+  if (sys.experiment.options.personality == Personality::kMach) {
+    parser.SetUserTable(2, &sys.traced->server_table());
   }
-  return source;
+  parser.SetBatchSink(sink);
+  archive.Replay([&parser](const uint32_t* words, size_t count) { parser.Feed(words, count); });
+  parser.Finish();
 }
 
 void PrintDiagnostics(const ArchiveReader& archive) {
@@ -223,6 +187,10 @@ int CmdRecord(int argc, char** argv) {
   }
   if (workload_name.empty() || out_path.empty()) {
     Usage();
+    return 2;
+  }
+  if (!(scale >= 0 && scale <= kMaxArchiveScale)) {
+    std::fprintf(stderr, "wrltrace: --scale must lie in [0, %g]\n", kMaxArchiveScale);
     return 2;
   }
 
@@ -272,8 +240,7 @@ int CmdInfo(int argc, char** argv) {
     return 2;
   }
   ArchiveReader archive(path);
-  std::printf("%s: wrltrace/%u, %s payloads%s\n", path.c_str(), kArchiveVersion,
-              archive.packed() ? "packed" : "raw",
+  std::printf("%s: wrltrace/%u%s\n", path.c_str(), kArchiveVersion,
               archive.degraded() ? " [DEGRADED: recovered by scan]" : "");
   std::printf("  %zu chunks, %llu words, %llu file bytes, %llu payload bytes "
               "(%.2fx compression)\n",
@@ -291,7 +258,6 @@ int CmdInfo(int argc, char** argv) {
     writer.KV("schema", "wrltrace-info/1");
     writer.KV("path", path);
     writer.KV("version", kArchiveVersion);
-    writer.KV("packed", archive.packed());
     writer.KV("degraded", archive.degraded());
     writer.KV("chunks", static_cast<uint64_t>(archive.chunk_count()));
     writer.KV("words", archive.word_count());
@@ -335,18 +301,17 @@ int CmdVerify(int argc, char** argv) {
   // parser's §4.3 defenses (key-table bounds, marker protocol, context
   // tracking) against a freshly rebuilt system.
   RebuiltSystems sys = RebuildFromMeta(archive);
-  ReplayEngine engine(MakeSource(archive, sys));
-  engine.Parse();
-  const uint64_t parse_errors = engine.parser_stats().validation_errors;
-  for (const std::string& error : engine.parser_errors()) {
+  TraceParser parser(&sys.traced->kernel_table());
+  ParseArchive(archive, sys, nullptr, parser);
+  const uint64_t parse_errors = parser.stats().validation_errors;
+  for (const std::string& error : parser.errors()) {
     std::fprintf(stderr, "wrltrace: %s: parser: %s\n", path.c_str(), error.c_str());
   }
 
   const bool clean = findings.empty() && parse_errors == 0;
   std::printf("%s: %zu chunks, %llu words, %llu refs: %s\n", path.c_str(),
               archive.chunk_count(), static_cast<unsigned long long>(archive.word_count()),
-              static_cast<unsigned long long>(engine.parser_stats().refs),
-              clean ? "OK" : "FAILED");
+              static_cast<unsigned long long>(parser.stats().refs), clean ? "OK" : "FAILED");
   return clean ? 0 : 1;
 }
 
@@ -401,15 +366,12 @@ int CmdReplay(int argc, char** argv) {
   std::string path;
   std::string json_path;
   std::string expect_path;
-  unsigned decode_workers = 1;
   for (int i = 0; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--json" && i + 1 < argc) {
       json_path = argv[++i];
     } else if (arg == "--expect" && i + 1 < argc) {
       expect_path = argv[++i];
-    } else if (arg == "--decode-workers" && i + 1 < argc) {
-      decode_workers = static_cast<unsigned>(std::atoi(argv[++i]));
     } else if (path.empty()) {
       path = arg;
     } else {
@@ -425,48 +387,31 @@ int CmdReplay(int argc, char** argv) {
   ArchiveReader archive(path);
   PrintDiagnostics(archive);
   RebuiltSystems sys = RebuildFromMeta(archive);
+  const ExperimentOptions& options = sys.experiment.options;
 
-  TraceDrivenSimulator simulator(sys.pconfig);
+  TraceDrivenSimulator simulator(PrimaryConfig(options, *sys.measured));
   simulator.AddTextImage(sys.measured->kernel_exe());
   simulator.AddTextImage(sys.measured->workload_orig());
-
-  ReplayEngine engine(MakeSource(archive, sys));
-  std::vector<ReplayEngine::Config> configs;
-  configs.push_back({"primary", [&simulator] {
-                       // Non-owning: the simulator outlives the fan-out.
-                       class Borrowed : public RefBatchSink {
-                        public:
-                         explicit Borrowed(RefBatchSink* t) : t_(t) {}
-                         void OnRefBatch(const TraceRef* refs, size_t n) override {
-                           t_->OnRefBatch(refs, n);
-                         }
-
-                        private:
-                         RefBatchSink* t_;
-                       };
-                       return std::make_unique<Borrowed>(&simulator);
-                     }});
-  ReplayEngine::Options ropts;
-  ropts.decode_workers = decode_workers;
-  engine.Run(configs, ropts);
+  TraceParser parser(&sys.traced->kernel_table());
+  ParseArchive(archive, sys, &simulator, parser);
   Prediction prediction = simulator.Finish();
 
   StatsRegistry registry;
-  engine.RegisterParserStats(registry, "parser.");
+  parser.RegisterStats(registry, "parser.");
   simulator.RegisterStats(registry, "predicted.");
   StatsSnapshot stats = registry.Snapshot();
 
   std::printf("wrltrace: replayed %s: %llu words -> %llu refs, predicted %.0f cycles\n",
               path.c_str(), static_cast<unsigned long long>(archive.word_count()),
-              static_cast<unsigned long long>(engine.parser_stats().refs),
+              static_cast<unsigned long long>(parser.stats().refs),
               prediction.PredictedCycles());
-  if (engine.parser_stats().validation_errors > 0) {
+  if (parser.stats().validation_errors > 0) {
     std::fprintf(stderr, "wrltrace: %llu parser validation error(s) during replay\n",
-                 static_cast<unsigned long long>(engine.parser_stats().validation_errors));
+                 static_cast<unsigned long long>(parser.stats().validation_errors));
   }
   if (!json_path.empty()) {
-    WriteAnalysisJson(json_path, "replay", sys.workload.name, sys.personality, path,
-                      prediction.PredictedCycles(), stats);
+    WriteAnalysisJson(json_path, "replay", sys.experiment.workload.name, options.personality,
+                      path, prediction.PredictedCycles(), stats);
   }
 
   if (!expect_path.empty()) {
