@@ -4,16 +4,20 @@
 // continuous execution").  We sweep the buffer size and report the
 // instructions-per-switch ratio, which should scale linearly.
 //
-// --jobs N (or WRL_JOBS) runs the sweep points on a worker pool; rows,
-// metrics, and the extrapolation are printed in size order either way.
-#include <atomic>
+// The untraced system runs once too, and every point must reproduce its
+// exit code: a point whose traced run exits differently was distorted by
+// tracing (its instruction count is not the workload's), so it is printed
+// as DISTORTED and kept out of the other metrics and the extrapolation.
+//
+// --jobs N (or WRL_JOBS) runs the five systems on a worker pool
+// (ParallelFor); rows, metrics, and the extrapolation are printed in size
+// order either way.
 #include <cstdio>
-#include <exception>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "kernel/system_build.h"
+#include "support/parallel.h"
 
 using namespace wrl;
 
@@ -22,17 +26,22 @@ namespace {
 struct SweepPoint {
   uint32_t kb = 0;
   bool halted = false;
+  uint32_t exit_code = 0;
   uint64_t switches = 0;
   uint64_t instructions = 0;
 };
 
+// One run of the workload: traced with a `kb` KB in-kernel buffer, or
+// untraced (kb == 0) at the undilated clock.
 SweepPoint RunPoint(const WorkloadSpec& w, uint32_t kb) {
   SweepPoint point;
   point.kb = kb;
   SystemConfig config;
-  config.tracing = true;
-  config.clock_period = 200000 * 15;
-  config.trace_buf_bytes = kb * 1024;
+  config.tracing = kb != 0;
+  config.clock_period = config.tracing ? 200000 * 15 : 200000;
+  if (config.tracing) {
+    config.trace_buf_bytes = kb * 1024;
+  }
   config.program_source = w.source;
   config.program_name = w.name;
   config.files = w.files;
@@ -40,6 +49,7 @@ SweepPoint RunPoint(const WorkloadSpec& w, uint32_t kb) {
   sys->SetTraceSink([](const uint32_t*, size_t) {});
   RunResult r = sys->Run(3'000'000'000ull);
   point.halted = r.halted;
+  point.exit_code = sys->ProcessExitCode(1);
   point.switches = sys->AnalysisSwitches();
   point.instructions = sys->machine().instructions();
   return point;
@@ -55,49 +65,31 @@ int main(int argc, char** argv) {
   printf("=== In-kernel buffer sizing vs analysis-mode switches ===\n");
   printf("%-10s %10s %14s %16s\n", "buffer", "switches", "traced instrs", "instrs/switch");
 
-  // The sweep points are independent traced runs; with --jobs they go on a
-  // worker pool (claim-the-next-index), results landing in size order.
-  std::vector<SweepPoint> points(sizes.size());
-  std::vector<std::exception_ptr> errors(sizes.size());
-  unsigned workers = jobs < 1 ? 1u : jobs;
-  if (workers > sizes.size()) {
-    workers = static_cast<unsigned>(sizes.size());
-  }
-  if (workers <= 1) {
-    for (size_t i = 0; i < sizes.size(); ++i) {
-      points[i] = RunPoint(w, sizes[i]);
-    }
-  } else {
-    fprintf(stderr, "  running %zu sweep points on %u workers...\n", sizes.size(), workers);
-    std::atomic<size_t> next{0};
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned t = 0; t < workers; ++t) {
-      pool.emplace_back([&] {
-        for (size_t i = next.fetch_add(1); i < sizes.size(); i = next.fetch_add(1)) {
-          try {
-            points[i] = RunPoint(w, sizes[i]);
-          } catch (...) {
-            errors[i] = std::current_exception();
-          }
-        }
-      });
-    }
-    for (std::thread& worker : pool) {
-      worker.join();
-    }
-    for (const std::exception_ptr& error : errors) {
-      if (error != nullptr) {
-        std::rethrow_exception(error);
-      }
-    }
+  // Index i < sizes.size() is the traced run at sizes[i]; the last index is
+  // the untraced run.
+  std::vector<SweepPoint> points(sizes.size() + 1);
+  ParallelFor(points.size(), jobs,
+              [&](size_t i) { points[i] = RunPoint(w, i < sizes.size() ? sizes[i] : 0); });
+  const SweepPoint untraced = points.back();
+  points.pop_back();
+  if (!untraced.halted) {
+    fprintf(stderr, "error: the untraced %s run did not halt\n", w.name.c_str());
+    return 1;
   }
 
   std::map<std::string, double> metrics;
   double per_mb = 0;
   for (const SweepPoint& point : points) {
+    std::string key = "buf" + std::to_string(point.kb) + "kb";
+    const bool distorted = !point.halted || point.exit_code != untraced.exit_code;
+    metrics[key + ".distorted"] = distorted ? 1 : 0;
     if (!point.halted) {
       printf("%7uKB DID NOT HALT\n", point.kb);
+      continue;
+    }
+    if (distorted) {
+      printf("%7uKB DISTORTED (exit %u != %u)\n", point.kb, point.exit_code,
+             untraced.exit_code);
       continue;
     }
     double per_switch =
@@ -105,7 +97,6 @@ int main(int argc, char** argv) {
     printf("%7uKB %10llu %14llu %16.0f\n", point.kb,
            static_cast<unsigned long long>(point.switches),
            static_cast<unsigned long long>(point.instructions), per_switch);
-    std::string key = "buf" + std::to_string(point.kb) + "kb";
     metrics[key + ".switches"] = static_cast<double>(point.switches);
     metrics[key + ".instructions"] = static_cast<double>(point.instructions);
     metrics[key + ".instrs_per_switch"] = per_switch;

@@ -2,17 +2,16 @@
 // dynamic behavior of our reconstructions (instruction counts and simulated
 // execution times on the uninstrumented Ultrix system).
 //
-// --jobs N (or WRL_JOBS) runs the workloads on a worker pool; rows, metrics,
-// and the timeline are emitted in workload order either way (per-worker
-// event recorders are absorbed deterministically).
-#include <atomic>
+// --jobs N (or WRL_JOBS) runs the workloads on a worker pool (ParallelFor);
+// rows, metrics, and the timeline are emitted in workload order either way
+// (per-worker event recorders are absorbed deterministically).
+#include <algorithm>
 #include <cstdio>
-#include <exception>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "kernel/system_build.h"
+#include "support/parallel.h"
 
 using namespace wrl;
 
@@ -56,45 +55,19 @@ int main(int argc, char** argv) {
   const std::vector<WorkloadSpec> workloads = PaperWorkloads(scale);
   std::vector<Row> rows(workloads.size());
 
-  unsigned workers = jobs < 1 ? 1u : jobs;
-  if (workers > workloads.size()) {
-    workers = static_cast<unsigned>(workloads.size());
+  // On a pool, each workload records into a private recorder, absorbed in
+  // workload order afterwards; serially it records straight into `events`.
+  const bool pooled = jobs > 1 && workloads.size() > 1;
+  std::vector<EventRecorder> recorders(pooled ? workloads.size() : 0);
+  if (pooled) {
+    fprintf(stderr, "  running %zu workloads on %u workers...\n", workloads.size(),
+            static_cast<unsigned>(std::min<size_t>(jobs, workloads.size())));
   }
-  if (workers <= 1) {
-    for (size_t i = 0; i < workloads.size(); ++i) {
-      rows[i] = RunWorkload(workloads[i], &events);
-    }
-  } else {
-    // Worker pool over the workloads: claim the next index, record into a
-    // private recorder, absorb timelines in workload order afterwards.
-    fprintf(stderr, "  running %zu workloads on %u workers...\n", workloads.size(), workers);
-    std::vector<EventRecorder> recorders(workloads.size());
-    std::vector<std::exception_ptr> errors(workloads.size());
-    std::atomic<size_t> next{0};
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned t = 0; t < workers; ++t) {
-      pool.emplace_back([&] {
-        for (size_t i = next.fetch_add(1); i < workloads.size(); i = next.fetch_add(1)) {
-          try {
-            rows[i] = RunWorkload(workloads[i], &recorders[i]);
-          } catch (...) {
-            errors[i] = std::current_exception();
-          }
-        }
-      });
-    }
-    for (std::thread& worker : pool) {
-      worker.join();
-    }
-    for (const std::exception_ptr& error : errors) {
-      if (error != nullptr) {
-        std::rethrow_exception(error);
-      }
-    }
-    for (EventRecorder& recorder : recorders) {
-      events.Absorb(recorder.TakeEvents());
-    }
+  ParallelFor(workloads.size(), jobs, [&](size_t i) {
+    rows[i] = RunWorkload(workloads[i], pooled ? &recorders[i] : &events);
+  });
+  for (EventRecorder& recorder : recorders) {
+    events.Absorb(recorder.TakeEvents());
   }
 
   std::map<std::string, double> metrics;

@@ -38,9 +38,10 @@ inline double BenchScaleOr(int argc, char** argv, double fallback) {
 // completes in a few minutes.
 inline double BenchScale(int argc, char** argv) { return BenchScaleOr(argc, argv, 0.2); }
 
-// Worker threads for suite runs: --jobs=N, --jobs N, or WRL_JOBS env
-// (default 1 = serial).  Parallel runs also overlap each experiment's
-// measured/traced pair; results and reports are identical either way.
+// Worker threads for suite runs and sweeps: --jobs=N, --jobs N, or
+// WRL_JOBS env (default 1 = serial).  ParallelFor hands each worker whole
+// jobs (an experiment's measured and traced runs stay on one worker, one
+// after the other); results and reports are identical either way.
 inline unsigned BenchJobs(int argc, char** argv) {
   long jobs = 1;
   if (const char* env = std::getenv("WRL_JOBS")) {
@@ -94,41 +95,21 @@ inline std::string BenchJsonPath(int argc, char** argv) {
   return path;
 }
 
-// Runs the full paper-workload suite for one personality.  `options`
-// carries any extra experiment options (replay variants, sweep, profile,
-// ...); personality/events/jobs are overwritten from the explicit arguments
-// and WRL_PROGRESS can turn the heartbeat on.
+// Runs the full paper-workload suite for one personality through RunSuite.
+// `options` carries any extra experiment options (replay variants, sweep,
+// profile, ...); personality/events/jobs are overwritten from the explicit
+// arguments and WRL_PROGRESS can turn the heartbeat on.
 inline std::vector<ExperimentResult> RunPersonalitySuite(Personality personality, double scale,
                                                          EventRecorder* events, unsigned jobs,
                                                          ExperimentOptions options) {
   options.personality = personality;
   options.events = events;
-  const std::vector<WorkloadSpec> workloads = PaperWorkloads(scale);
-  std::vector<ExperimentResult> results;
-  options.progress = options.progress || ProgressEnv();
-  if (jobs <= 1) {
-    if (options.progress) {
-      // Route through RunSuite so the heartbeat's monitor thread runs even
-      // for serial suites.
-      results = RunSuite(workloads, options);
-      for (const ExperimentResult& r : results) {
-        PrintResultWarnings(r, stderr);
-      }
-      return results;
-    }
-    for (const WorkloadSpec& w : workloads) {
-      fprintf(stderr, "  running %-9s (%s)...\n", w.name.c_str(),
-              personality == Personality::kUltrix ? "ultrix" : "mach");
-      results.push_back(RunExperiment(w, options));
-      PrintResultWarnings(results.back(), stderr);
-    }
-    return results;
-  }
   options.jobs = jobs;
-  options.parallel_pair = true;
-  fprintf(stderr, "  running %zu workloads (%s) on %u workers...\n", workloads.size(),
-          personality == Personality::kUltrix ? "ultrix" : "mach", jobs);
-  results = RunSuite(workloads, options);
+  options.progress = options.progress || ProgressEnv();
+  const std::vector<WorkloadSpec> workloads = PaperWorkloads(scale);
+  fprintf(stderr, "  running %zu workloads (%s) on %u worker(s)...\n", workloads.size(),
+          PersonalityName(personality), jobs);
+  std::vector<ExperimentResult> results = RunSuite(workloads, options);
   for (const ExperimentResult& r : results) {
     PrintResultWarnings(r, stderr);
   }

@@ -24,10 +24,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <exception>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -117,33 +115,13 @@ int main(int argc, char** argv) {
   TraceLog log;
   sys->SetTraceSink([&log](const uint32_t* words, size_t n) { log.Append(words, n); });
 
-  // The measured (uninstrumented) system is independent of the sweep; with
-  // --jobs > 1 its run overlaps the traced run on a helper thread.
+  // The measured (uninstrumented) system is independent of the sweep; it
+  // runs after the replays, for the kernel's own TLB miss count.
   SystemConfig untraced = config;
   untraced.tracing = false;
   untraced.clock_period = 200000;
   untraced.events = nullptr;
   auto measured = BuildSystem(untraced);
-  EventRecorder measured_events;
-  uint64_t measured_epoch_us = 0;
-  std::exception_ptr measured_exc;
-  std::thread measured_thread;
-  auto run_measured = [&](EventRecorder* ev) {
-    ev->SetCycleSource([m = &measured->machine()]() -> uint64_t { return m->cycles(); });
-    EventRecorder::Scope scope(ev, "run.measured:" + w.name, "run");
-    measured->Run(3'000'000'000ull);
-  };
-  if (jobs > 1) {
-    printf("overlapping the measured run on a second worker (--jobs %u)...\n", jobs);
-    measured_epoch_us = events.ElapsedUs();
-    measured_thread = std::thread([&] {
-      try {
-        run_measured(&measured_events);
-      } catch (...) {
-        measured_exc = std::current_exception();
-      }
-    });
-  }
 
   RunResult r;
   uint64_t traced_wall_us = 0;
@@ -153,13 +131,6 @@ int main(int argc, char** argv) {
     uint64_t wall0 = events.ElapsedUs();
     r = sys->Run(3'000'000'000ull);
     traced_wall_us = events.ElapsedUs() - wall0;
-  }
-  if (measured_thread.joinable()) {
-    measured_thread.join();
-    if (measured_exc != nullptr) {
-      std::rethrow_exception(measured_exc);
-    }
-    events.Absorb(measured_events.TakeEvents(), measured_epoch_us);
   }
   events.SetCycleSource(nullptr);
   if (!r.halted) {
@@ -228,10 +199,12 @@ int main(int argc, char** argv) {
   printf("handler refs): %llu misses\n",
          static_cast<unsigned long long>(production->stats().utlb_misses));
 
-  if (jobs <= 1) {
-    run_measured(&events);
-    events.SetCycleSource(nullptr);
+  {
+    events.SetCycleSource([m = &measured->machine()]() -> uint64_t { return m->cycles(); });
+    EventRecorder::Scope scope(&events, "run.measured:" + w.name, "run");
+    measured->Run(3'000'000'000ull);
   }
+  events.SetCycleSource(nullptr);
   printf("measured on the uninstrumented system (kernel counter): %llu misses\n",
          static_cast<unsigned long long>(measured->UtlbMissCount()));
 

@@ -8,7 +8,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
-#include <exception>
 #include <functional>
 #include <map>
 #include <memory>
@@ -17,6 +16,7 @@
 
 #include "kernel/kernel_config.h"
 #include "support/error.h"
+#include "support/parallel.h"
 #include "support/strings.h"
 #include "trace/abi.h"
 #include "trace/parser.h"
@@ -185,99 +185,42 @@ std::unique_ptr<TraceDrivenSimulator> MakeSimulator(const PredictorConfig& confi
 }
 
 // ---- The measured run ----
-// The uninstrumented system with the hardware timer.  Built on the calling
-// thread either way: the traced side only needs the measured *build*
-// outputs (page layouts, original binaries), all of which are immutable
-// once BuildSystem returns, so with parallel_pair the measured *run* can
-// overlap the whole traced half on a helper thread.
-class MeasuredRun {
- public:
-  MeasuredRun(const WorkloadSpec& workload, const ExperimentOptions& options,
-              EventRecorder* events)
-      : workload_(workload), options_(options), events_(events) {
-    {
-      EventRecorder::Scope scope(events, "build.measured", "build");
-      system_ = BuildSystem(MakeConfig(workload, options, false, events));
-    }
-    auto [idle_lo, idle_hi] = system_->IdleRange();
-    system_->machine().SetIdleRange(idle_lo, idle_hi);
+// The uninstrumented system with the hardware timer, built and run to halt
+// on the calling thread; fills the measured-side fields of `result`
+// (run_wall_us starts at its run time).  The traced side reads its build
+// outputs (page layouts, original binaries), so it lives for the whole
+// experiment.
+std::unique_ptr<SystemInstance> RunMeasured(const WorkloadSpec& workload,
+                                            const ExperimentOptions& options,
+                                            EventRecorder* events, ExperimentResult& result) {
+  std::unique_ptr<SystemInstance> system;
+  {
+    EventRecorder::Scope scope(events, "build.measured", "build");
+    system = BuildSystem(MakeConfig(workload, options, false, events));
   }
+  auto [idle_lo, idle_hi] = system->IdleRange();
+  system->machine().SetIdleRange(idle_lo, idle_hi);
 
-  ~MeasuredRun() {
-    if (thread_.joinable()) {
-      thread_.join();
-    }
+  events->SetCycleSource([machine = &system->machine()] { return machine->cycles(); });
+  RunResult run;
+  uint64_t wall0 = WallNowUs();
+  {
+    EventRecorder::Scope scope(events, "run.measured", "run");
+    run = system->Run(options.max_instructions);
   }
-  MeasuredRun(const MeasuredRun&) = delete;
-  MeasuredRun& operator=(const MeasuredRun&) = delete;
-
-  SystemInstance& system() { return *system_; }
-  uint64_t run_wall_us() const { return run_wall_us_; }
-
-  // Runs the system and fills the measured-side fields of `result`: inline,
-  // or with parallel_pair on a helper thread recording into a private
-  // recorder.
-  void Start(ExperimentResult& result) {
-    if (!options_.parallel_pair) {
-      Run(events_, result);
-      return;
-    }
-    epoch_us_ = events_->ElapsedUs();
-    thread_ = std::thread([this, &result] {
-      try {
-        Run(&thread_events_, result);
-      } catch (...) {
-        error_ = std::current_exception();
-      }
-    });
+  result.run_wall_us = WallNowUs() - wall0;
+  if (!run.halted) {
+    throw Error(StrFormat("measured run of '%s' did not halt (pc=0x%08x)", workload.name.c_str(),
+                          system->machine().pc()));
   }
-
-  // Waits for an overlapped run, rethrows its failure, and folds its
-  // run.measured phase back into the shared timeline at its true wall
-  // offset.
-  void Join() {
-    if (!thread_.joinable()) {
-      return;
-    }
-    thread_.join();
-    if (error_ != nullptr) {
-      std::rethrow_exception(error_);
-    }
-    events_->Absorb(thread_events_.TakeEvents(), epoch_us_, /*depth_offset=*/1);
-  }
-
- private:
-  void Run(EventRecorder* events, ExperimentResult& result) {
-    events->SetCycleSource([machine = &system_->machine()] { return machine->cycles(); });
-    RunResult run;
-    uint64_t wall0 = WallNowUs();
-    {
-      EventRecorder::Scope scope(events, "run.measured", "run");
-      run = system_->Run(options_.max_instructions);
-    }
-    run_wall_us_ = WallNowUs() - wall0;
-    if (!run.halted) {
-      throw Error(StrFormat("measured run of '%s' did not halt (pc=0x%08x)",
-                            workload_.name.c_str(), system_->machine().pc()));
-    }
-    result.measured_cycles = system_->ProcessCycles(1);
-    result.measured_utlb = system_->UtlbMissCount();
-    result.measured_idle_instructions = system_->machine().idle_instructions();
-    result.measured_tlbdropins = system_->TlbDropins();
-    result.measured_user_instructions = system_->machine().user_instructions();
-    result.exit_code = system_->ProcessExitCode(1);
-  }
-
-  const WorkloadSpec& workload_;
-  const ExperimentOptions& options_;
-  EventRecorder* events_;
-  std::unique_ptr<SystemInstance> system_;
-  uint64_t run_wall_us_ = 0;
-  EventRecorder thread_events_;
-  uint64_t epoch_us_ = 0;
-  std::exception_ptr error_;
-  std::thread thread_;
-};
+  result.measured_cycles = system->ProcessCycles(1);
+  result.measured_utlb = system->UtlbMissCount();
+  result.measured_idle_instructions = system->machine().idle_instructions();
+  result.measured_tlbdropins = system->TlbDropins();
+  result.measured_user_instructions = system->machine().user_instructions();
+  result.exit_code = system->ProcessExitCode(1);
+  return system;
+}
 
 // ---- The analysis ----
 // One parser feeding one TeeBatchSink over every sink the options ask for:
@@ -720,54 +663,43 @@ ExperimentResult RunExperiment(const WorkloadSpec& workload, const ExperimentOpt
   EventRecorder* events = options.events != nullptr ? options.events : &local_events;
   events->Begin("experiment:" + workload.name, "experiment");
 
-  MeasuredRun measured(workload, options, events);
-  measured.Start(result);
+  std::unique_ptr<SystemInstance> measured = RunMeasured(workload, options, events, result);
 
   // The traced run driving the analysis.  The analysis is declared before
   // the traced run's drain chain, whose pipeline consumer thread feeds it.
   std::unique_ptr<SystemInstance> traced;
-  std::unique_ptr<Analysis> analysis;
+  {
+    EventRecorder::Scope scope(events, "build.traced", "build");
+    traced = BuildSystem(MakeConfig(workload, options, true, events));
+  }
+  Analysis analysis(workload, options, *measured, *traced);
   TracedRun traced_run;
-  std::exception_ptr traced_exc;
-  try {
-    {
-      EventRecorder::Scope scope(events, "build.traced", "build");
-      traced = BuildSystem(MakeConfig(workload, options, true, events));
-    }
-    analysis = std::make_unique<Analysis>(workload, options, measured.system(), *traced);
-    traced_run.Run(*traced, *analysis, workload, options, events);
-    analysis->Finish(result);
-    result.traced_machine_instructions = traced->machine().instructions();
-    result.trace_words = traced->trace_words_drained();
-    result.analysis_switches = traced->AnalysisSwitches();
-  } catch (...) {
-    traced_exc = std::current_exception();
-  }
-  measured.Join();  // A measured-side failure takes precedence.
-  if (traced_exc != nullptr) {
-    std::rethrow_exception(traced_exc);
-  }
+  traced_run.Run(*traced, analysis, workload, options, events);
+  analysis.Finish(result);
+  result.traced_machine_instructions = traced->machine().instructions();
+  result.trace_words = traced->trace_words_drained();
+  result.analysis_switches = traced->AnalysisSwitches();
 
   if (traced->ProcessExitCode(1) != result.exit_code) {
     throw Error(StrFormat("'%s': traced exit code %u != measured %u — tracing distorted behavior",
                           workload.name.c_str(), traced->ProcessExitCode(1), result.exit_code));
   }
-  result.run_wall_us = measured.run_wall_us() + traced_run.wall_us;
+  result.run_wall_us += traced_run.wall_us;
   result.simulated_instructions =
-      measured.system().machine().instructions() + traced->machine().instructions();
+      measured->machine().instructions() + traced->machine().instructions();
 
   // ---- Registry snapshot across every layer of both runs ----
   // Must happen before the SystemInstances go out of scope: the registry
   // bindings point into them.
   StatsRegistry registry;
-  measured.system().RegisterStats(registry, "measured.");
+  measured->RegisterStats(registry, "measured.");
   traced->RegisterStats(registry, "traced.");
-  analysis->RegisterStats(registry);
+  analysis.RegisterStats(registry);
   traced_run.RegisterStats(registry);
   result.stats = registry.Snapshot();
   if (traced_run.consumer_events != nullptr) {
     // Fold the consumer thread's parser phases back in at their true wall
-    // offset (nested under the experiment scope, like the measured half).
+    // offset (nested under the experiment scope).
     events->Absorb(traced_run.consumer_events->TakeEvents(), traced_run.consumer_epoch_us,
                    /*depth_offset=*/1);
   }
@@ -781,53 +713,22 @@ ExperimentResult RunExperiment(const WorkloadSpec& workload, const ExperimentOpt
 
 std::vector<ExperimentResult> RunSuite(const std::vector<WorkloadSpec>& workloads,
                                        const ExperimentOptions& options) {
-  unsigned jobs = options.jobs == 0 ? 1 : options.jobs;
-  jobs = static_cast<unsigned>(
-      std::min<size_t>(jobs, workloads.empty() ? size_t{1} : workloads.size()));
   ProgressMeter progress(options.progress, workloads.size(), options.progress_interval_ms);
-  if (jobs <= 1) {
-    std::vector<ExperimentResult> results;
-    results.reserve(workloads.size());
-    for (const WorkloadSpec& w : workloads) {
-      results.push_back(RunExperiment(w, options));
-      progress.OnDone(results.back());
-    }
-    return results;
+  // On a pool, each experiment records into a private recorder
+  // (options.events is not thread-safe); the timelines are merged back in
+  // workload order below, so reports are scheduling-independent.  Serially
+  // the experiments record straight into options.events.
+  const bool pooled = options.jobs > 1 && workloads.size() > 1;
+  ExperimentOptions run_options = options;
+  if (pooled) {
+    run_options.events = nullptr;
   }
-
-  // Worker pool: each worker claims the next unstarted workload and runs
-  // the whole experiment with a private event recorder (options.events is
-  // not thread-safe).  Results land in workload order regardless of which
-  // worker finishes first, and timelines are merged back in that same
-  // order, so reports are scheduling-independent.
   std::vector<ExperimentResult> results(workloads.size());
-  std::vector<std::exception_ptr> errors(workloads.size());
-  std::atomic<size_t> next{0};
-  ExperimentOptions worker_options = options;
-  worker_options.events = nullptr;
-  std::vector<std::thread> pool;
-  pool.reserve(jobs);
-  for (unsigned t = 0; t < jobs; ++t) {
-    pool.emplace_back([&] {
-      for (size_t i = next.fetch_add(1); i < workloads.size(); i = next.fetch_add(1)) {
-        try {
-          results[i] = RunExperiment(workloads[i], worker_options);
-          progress.OnDone(results[i]);
-        } catch (...) {
-          errors[i] = std::current_exception();
-        }
-      }
-    });
-  }
-  for (std::thread& worker : pool) {
-    worker.join();
-  }
-  for (const std::exception_ptr& error : errors) {
-    if (error != nullptr) {
-      std::rethrow_exception(error);
-    }
-  }
-  if (options.events != nullptr) {
+  ParallelFor(workloads.size(), options.jobs, [&](size_t i) {
+    results[i] = RunExperiment(workloads[i], run_options);
+    progress.OnDone(results[i]);
+  });
+  if (pooled && options.events != nullptr) {
     for (ExperimentResult& r : results) {
       options.events->Absorb(std::move(r.timeline));
       r.timeline.clear();

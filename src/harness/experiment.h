@@ -104,16 +104,12 @@ struct ExperimentOptions {
   // are recorded here.  When null the experiment records into a private
   // recorder and moves the events into ExperimentResult::timeline.
   EventRecorder* events = nullptr;
-  // Worker threads for RunSuite (1 = serial).  Workers run whole
-  // experiments with private event recorders; results and (when `events`
-  // is shared) timelines are merged back in workload order, so reports are
-  // independent of scheduling.  With jobs > 1 each merged experiment's
-  // event wall clock restarts at that experiment's start.
+  // Worker threads for RunSuite (ParallelFor; 0 or 1 = serial).  Workers
+  // run whole experiments with private event recorders; results and (when
+  // `events` is shared) timelines are merged back in workload order, so
+  // reports are independent of scheduling.  With jobs > 1 each merged
+  // experiment's event wall clock restarts at that experiment's start.
   unsigned jobs = 1;
-  // Overlap the two halves of one experiment: the measured run executes on
-  // a second thread while this thread builds and runs the traced system.
-  // All result fields and metrics are unchanged; only wall time shrinks.
-  bool parallel_pair = false;
   // Pipelined trace transport: drained chunks flow through a bounded SPSC
   // ring (kDefaultPipelineDepth chunks) to a consumer thread that runs the
   // archive tee and the analysis, so the traced machine keeps simulating

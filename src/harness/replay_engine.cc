@@ -1,12 +1,10 @@
 #include "harness/replay_engine.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <exception>
-#include <thread>
 
 #include "support/error.h"
+#include "support/parallel.h"
 
 namespace wrl {
 
@@ -98,14 +96,18 @@ std::vector<ReplayEngine::Outcome> ReplayEngine::Run(const std::vector<Config>& 
                                                      const Options& options) {
   Parse();
   std::vector<Outcome> outcomes(configs.size());
-  std::vector<std::exception_ptr> errors(configs.size());
   uint64_t fanout_wall0 = WallNowUs();
-
-  // One config's replay, on whichever thread claims it.
-  auto replay_one = [&](size_t i, EventRecorder* events) {
+  // On a pool, each config records into a private recorder, kept in its
+  // Outcome (and absorbed in config order below), so reports are
+  // scheduling-independent.  Serially the configs record straight into
+  // options.events.
+  const bool pooled = options.jobs > 1 && configs.size() > 1;
+  std::vector<EventRecorder> recorders(pooled ? configs.size() : 0);
+  ParallelFor(configs.size(), options.jobs, [&](size_t i) {
     Outcome& out = outcomes[i];
     out.name = configs[i].name;
-    EventRecorder::Scope scope(events, "replay:" + configs[i].name, "replay");
+    EventRecorder::Scope scope(pooled ? &recorders[i] : options.events,
+                               "replay:" + configs[i].name, "replay");
     uint64_t wall0 = WallNowUs();
     out.sink = configs[i].make();
     size_t batch = options.batch_refs == 0 ? kRefBatchCapacity : options.batch_refs;
@@ -115,45 +117,9 @@ std::vector<ReplayEngine::Outcome> ReplayEngine::Run(const std::vector<Config>& 
     }
     out.refs = refs_.size();
     out.wall_us = WallNowUs() - wall0;
-  };
-
-  unsigned jobs = options.jobs == 0 ? 1 : options.jobs;
-  jobs = static_cast<unsigned>(
-      std::min<size_t>(jobs, configs.empty() ? size_t{1} : configs.size()));
-  if (jobs <= 1) {
-    for (size_t i = 0; i < configs.size(); ++i) {
-      replay_one(i, options.events);
-    }
-  } else {
-    // The PR 2 worker-pool pattern: workers claim the next config; results
-    // land in config order; timelines are recorded privately and absorbed
-    // in config order below, so reports are scheduling-independent.
-    std::atomic<size_t> next{0};
-    std::vector<EventRecorder> recorders(configs.size());
-    std::vector<std::thread> pool;
-    pool.reserve(jobs);
-    for (unsigned t = 0; t < jobs; ++t) {
-      pool.emplace_back([&] {
-        for (size_t i = next.fetch_add(1); i < configs.size(); i = next.fetch_add(1)) {
-          try {
-            replay_one(i, &recorders[i]);
-          } catch (...) {
-            errors[i] = std::current_exception();
-          }
-        }
-      });
-    }
-    for (std::thread& worker : pool) {
-      worker.join();
-    }
-    for (const std::exception_ptr& error : errors) {
-      if (error != nullptr) {
-        std::rethrow_exception(error);
-      }
-    }
-    for (size_t i = 0; i < configs.size(); ++i) {
-      outcomes[i].timeline = recorders[i].TakeEvents();
-    }
+  });
+  for (size_t i = 0; i < recorders.size(); ++i) {
+    outcomes[i].timeline = recorders[i].TakeEvents();
   }
 
   last_run_wall_us_ = WallNowUs() - fanout_wall0;

@@ -7,7 +7,7 @@
 // (one pass of table lookups and block reconstruction), the reconstructed
 // reference stream is materialized as a dense array, and each analysis
 // configuration replays that array in kRefBatchCapacity-sized batches —
-// fanned out across a worker pool (the PR 2 pattern: workers claim the next
+// fanned out with ParallelFor (support/parallel.h: workers claim the next
 // config, results land in config order, per-config EventRecorder timelines
 // are absorbed deterministically).  A K-config sweep therefore costs one
 // traced run + one parse + K cheap replays.
@@ -90,8 +90,9 @@ class ReplayEngine {
     EventRecorder* events = nullptr;
   };
 
-  // Replays the materialized stream through every config.  Outcomes are in
-  // config order.  Throws whatever a config's make/sink throws.
+  // Replays the materialized stream through every config on Options::jobs
+  // workers.  Outcomes are in config order.  Throws whatever a config's
+  // make/sink throws (the lowest such config's, once the workers stop).
   std::vector<Outcome> Run(const std::vector<Config>& configs, const Options& options);
   std::vector<Outcome> Run(const std::vector<Config>& configs);  // Default options.
 

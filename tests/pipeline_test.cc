@@ -284,6 +284,37 @@ TEST(PipelinedExperiment, LiveAnalysisIsByteIdentical) {
 
   ExpectSameExperiment(pipelined, sync);
 
+  // The timeline holds exactly one run.measured and one run.traced phase,
+  // each spanning its machine's whole cycle count, after the measured build
+  // and before/after the traced build (perfbench's sim_mcycles_per_s sums
+  // these two events).
+  for (const ExperimentResult* result : {&pipelined, &sync}) {
+    SCOPED_TRACE(result == &pipelined ? "pipelined" : "synchronous");
+    auto index_of = [&](const std::string& name) {
+      size_t found = result->timeline.size();
+      for (size_t i = 0; i < result->timeline.size(); ++i) {
+        if (result->timeline[i].name == name) {
+          EXPECT_EQ(found, result->timeline.size()) << "second " << name << " event";
+          found = i;
+        }
+      }
+      EXPECT_LT(found, result->timeline.size()) << "no " << name << " event";
+      return found;
+    };
+    const size_t build_measured = index_of("build.measured");
+    const size_t run_measured = index_of("run.measured");
+    const size_t build_traced = index_of("build.traced");
+    const size_t run_traced = index_of("run.traced");
+    ASSERT_LT(run_traced, result->timeline.size());
+    EXPECT_LT(build_measured, run_measured);
+    EXPECT_LT(run_measured, build_traced);
+    EXPECT_LT(build_traced, run_traced);
+    EXPECT_EQ(result->timeline[run_measured].cycle_dur,
+              result->stats.CounterValue("measured.machine.cycles"));
+    EXPECT_EQ(result->timeline[run_traced].cycle_dur,
+              result->stats.CounterValue("traced.machine.cycles"));
+  }
+
   // The transport counters exist exactly on the pipelined run, and the ring
   // carried every drained trace word.
   ASSERT_TRUE(pipelined.stats.Has("trace.pipeline.chunks"));

@@ -12,9 +12,9 @@
 // Usage:
 //   wrlverify [--json PATH] [--scale F] [--jobs N] [--quiet]
 //
-// --jobs audits targets on a worker pool; findings and the report order
-// stay deterministic regardless of N (results are slot-indexed and
-// printed in task order).
+// --jobs audits targets on a worker pool (ParallelFor); findings and the
+// report order stay deterministic regardless of N (results are
+// slot-indexed and printed in task order).
 //
 // --json writes the machine-readable report (schema "wrlverify/1"):
 //   {
@@ -23,7 +23,6 @@
 //     "totals": {"targets": N, "errors": N, "warnings": N, ...}
 //   }
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -43,6 +42,7 @@
 #include "stats/stats.h"
 #include "support/error.h"
 #include "support/json.h"
+#include "support/parallel.h"
 #include "support/strings.h"
 #include "trace/abi.h"
 #include "trace/support_asm.h"
@@ -98,53 +98,10 @@ TargetResult ObjectTarget(const ObjectFile& orig, const InstrumentResult& res,
   return out;
 }
 
-// Runs every task, optionally on a worker pool; results keep task order.
+// Runs every task on `jobs` workers; results keep task order.
 std::vector<TargetReport> RunTasks(const std::vector<Task>& tasks, unsigned jobs) {
-  std::vector<TargetResult> results(tasks.size());
-  std::vector<std::exception_ptr> errors(tasks.size());
-  if (jobs <= 1) {
-    for (size_t t = 0; t < tasks.size(); ++t) {
-      try {
-        results[t] = tasks[t].run();
-      } catch (...) {
-        errors[t] = std::current_exception();
-      }
-    }
-  } else {
-    std::atomic<size_t> next{0};
-    auto worker = [&]() {
-      for (;;) {
-        const size_t t = next.fetch_add(1);
-        if (t >= tasks.size()) {
-          return;
-        }
-        try {
-          results[t] = tasks[t].run();
-        } catch (...) {
-          errors[t] = std::current_exception();
-        }
-      }
-    };
-    const unsigned n = static_cast<unsigned>(std::min<size_t>(jobs, tasks.size()));
-    std::vector<std::thread> threads;
-    threads.reserve(n);
-    for (unsigned k = 0; k < n; ++k) {
-      threads.emplace_back(worker);
-    }
-    for (std::thread& th : threads) {
-      th.join();
-    }
-  }
-  for (size_t t = 0; t < tasks.size(); ++t) {
-    if (errors[t]) {
-      std::rethrow_exception(errors[t]);
-    }
-  }
-  std::vector<TargetReport> out;
-  out.reserve(tasks.size());
-  for (size_t t = 0; t < tasks.size(); ++t) {
-    out.push_back({tasks[t].name, std::move(results[t])});
-  }
+  std::vector<TargetReport> out(tasks.size());
+  ParallelFor(tasks.size(), jobs, [&](size_t t) { out[t] = {tasks[t].name, tasks[t].run()}; });
   return out;
 }
 
