@@ -7,7 +7,11 @@
 // The untraced system runs once too, and every point must reproduce its
 // exit code: a point whose traced run exits differently was distorted by
 // tracing (its instruction count is not the workload's), so it is printed
-// as DISTORTED and kept out of the other metrics and the extrapolation.
+// as DISTORTED and kept out of the other metrics and the extrapolation.  A
+// point whose run never switched to analysis is printed as NO SWITCH: it
+// has no instrs/switch, and the extrapolation to 64 MB is a least-squares
+// fit through the origin over the points that did switch, of which it
+// needs at least two.
 //
 // --jobs N (or WRL_JOBS) runs the five systems on a worker pool
 // (ParallelFor); rows, metrics, and the extrapolation are printed in size
@@ -78,7 +82,11 @@ int main(int argc, char** argv) {
   }
 
   std::map<std::string, double> metrics;
-  double per_mb = 0;
+  // Least squares through the origin of instrs/switch against buffer MB,
+  // over the undistorted points that switched: per_mb = sum(xy) / sum(xx).
+  double sum_xy = 0;
+  double sum_xx = 0;
+  unsigned fit_points = 0;
   for (const SweepPoint& point : points) {
     std::string key = "buf" + std::to_string(point.kb) + "kb";
     const bool distorted = !point.halted || point.exit_code != untraced.exit_code;
@@ -92,24 +100,36 @@ int main(int argc, char** argv) {
              untraced.exit_code);
       continue;
     }
-    double per_switch =
-        point.switches ? static_cast<double>(point.instructions) / point.switches : 0;
+    metrics[key + ".switches"] = static_cast<double>(point.switches);
+    metrics[key + ".instructions"] = static_cast<double>(point.instructions);
+    if (point.switches == 0) {
+      // The whole run fit in the buffer: it says nothing about the ratio.
+      printf("%7uKB %10s %14llu %16s\n", point.kb, "0",
+             static_cast<unsigned long long>(point.instructions), "NO SWITCH");
+      continue;
+    }
+    double per_switch = static_cast<double>(point.instructions) / point.switches;
     printf("%7uKB %10llu %14llu %16.0f\n", point.kb,
            static_cast<unsigned long long>(point.switches),
            static_cast<unsigned long long>(point.instructions), per_switch);
-    metrics[key + ".switches"] = static_cast<double>(point.switches);
-    metrics[key + ".instructions"] = static_cast<double>(point.instructions);
     metrics[key + ".instrs_per_switch"] = per_switch;
-    if (point.switches > 0) {
-      per_mb = per_switch / (point.kb / 1024.0);
-    }
+    double mb = point.kb / 1024.0;
+    sum_xy += mb * per_switch;
+    sum_xx += mb * mb;
+    ++fit_points;
   }
-  if (per_mb > 0) {
-    printf("\nextrapolation: a 64MB buffer sustains ~%.0fM instructions between\n",
+  if (fit_points >= 2) {
+    double per_mb = sum_xy / sum_xx;
+    printf("\nextrapolation (least squares over %u points): a 64MB buffer sustains\n",
+           fit_points);
+    printf("~%.0fM instructions between analysis phases (the paper reports ~32M;\n",
            per_mb * 64 / 1e6);
-    printf("analysis phases (the paper reports ~32M; the ratio depends on the\n");
-    printf("workload's trace density).\n");
+    printf("the ratio depends on the workload's trace density).\n");
     metrics["extrapolated_instrs_per_64mb"] = per_mb * 64;
+  } else {
+    printf("\nno extrapolation: %u undistorted point(s) switched to analysis, the fit "
+           "needs 2\n",
+           fit_points);
   }
   MaybeWriteMetricsReport(argc, argv, "bench_buffer", scale, metrics);
   return 0;

@@ -14,7 +14,9 @@
 namespace wrl {
 namespace {
 
-void Put32(std::vector<uint8_t>& v, size_t off, uint32_t val) {
+// `Bytes` is a std::vector<uint8_t> or a PhysMem.
+template <typename Bytes>
+void Put32(Bytes& v, size_t off, uint32_t val) {
   WRL_CHECK(off + 4 <= v.size());
   std::memcpy(v.data() + off, &val, 4);
 }
@@ -37,8 +39,7 @@ uint32_t Gcd(uint32_t a, uint32_t b) { return b == 0 ? a : Gcd(b, a % b); }
 
 }  // namespace
 
-std::vector<uint8_t> BuildDiskImage(const std::vector<DiskFile>& files, uint32_t disk_bytes) {
-  std::vector<uint8_t> image(disk_bytes, 0);
+void WriteDiskImage(const std::vector<DiskFile>& files, PhysMem& image) {
   WRL_CHECK_MSG(files.size() <= kFsDirEntries, "too many files for the flat filesystem");
   uint32_t next_sector = kFsBlockSectors;  // Data starts at the first block boundary.
   for (size_t i = 0; i < files.size(); ++i) {
@@ -52,13 +53,12 @@ std::vector<uint8_t> BuildDiskImage(const std::vector<DiskFile>& files, uint32_t
     sectors = ((sectors + kFsBlockSectors - 1) / kFsBlockSectors) * kFsBlockSectors;
     Put32(image, entry + 24, next_sector);
     Put32(image, entry + 28, length);
-    WRL_CHECK_MSG((next_sector + sectors) * 512 <= disk_bytes, "disk image overflow");
+    WRL_CHECK_MSG((uint64_t{next_sector} + sectors) * 512 <= image.size(), "disk image overflow");
     if (!f.content.empty()) {
-      std::memcpy(image.data() + next_sector * 512, f.content.data(), f.content.size());
+      std::memcpy(image.data() + size_t{next_sector} * 512, f.content.data(), f.content.size());
     }
     next_sector += sectors;
   }
-  return image;
 }
 
 std::string UserLibAsm() {
@@ -582,8 +582,7 @@ std::unique_ptr<SystemInstance> BuildSystem(const SystemConfig& config) {
   mconfig.fastpath = config.fastpath;
   sys.machine_ = std::make_unique<Machine>(mconfig);
   Machine& m = *sys.machine_;
-  m.disk().image() = BuildDiskImage(config.files,
-                                    static_cast<uint32_t>(m.disk().image().size()));
+  WriteDiskImage(config.files, m.disk().image());
   m.LoadImage(sys.kernel_exe_, [](uint32_t v) { return v - kKseg0; });
 
   // ---- Per-process layout and premapping ----

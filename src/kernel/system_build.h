@@ -194,8 +194,10 @@ std::string UserLibAsm();
 // The Mach UNIX-server program (user-level filesystem over device I/O).
 std::string ServerAsm();
 
-// Builds the flat-filesystem disk image.
-std::vector<uint8_t> BuildDiskImage(const std::vector<DiskFile>& files, uint32_t disk_bytes);
+// Writes the flat-filesystem directory and file contents into a disk image
+// in place.  The image must read as zero, as a fresh Disk's does: free space
+// and each file's extra capacity are left untouched.
+void WriteDiskImage(const std::vector<DiskFile>& files, PhysMem& image);
 
 }  // namespace wrl
 

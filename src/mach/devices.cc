@@ -8,11 +8,16 @@
 
 namespace wrl {
 
-Disk::Disk(const DiskConfig& config) : config_(config) {
-  image_.assign(static_cast<size_t>(config.num_sectors) * kDiskSectorBytes, 0);
-}
+Disk::Disk(const DiskConfig& config)
+    : config_(config), image_(static_cast<size_t>(config.num_sectors) * kDiskSectorBytes) {}
 
 void Disk::WriteReg(uint32_t reg, uint32_t value, uint64_t now) {
+  const bool parameter =
+      reg == kDevDiskSector || reg == kDevDiskAddr || reg == kDevDiskCount || reg == kDevDiskCmd;
+  if (status_ == 1 && parameter) {
+    // Tick transfers with the parameters the command was checked against.
+    throw Error(StrFormat("disk register 0x%x written while busy", reg));
+  }
   switch (reg) {
     case kDevDiskSector:
       sector_ = value;
@@ -24,9 +29,6 @@ void Disk::WriteReg(uint32_t reg, uint32_t value, uint64_t now) {
       count_ = value;
       break;
     case kDevDiskCmd:
-      if (status_ == 1) {
-        throw Error("disk command issued while busy");
-      }
       if (value != 1 && value != 2) {
         throw Error(StrFormat("bad disk command %u", value));
       }
@@ -68,6 +70,8 @@ bool Disk::Tick(uint64_t now, PhysMem& phys_mem, uint32_t* dma_paddr, uint32_t* 
     size_t disk_off = static_cast<size_t>(sector_) * kDiskSectorBytes;
     WRL_CHECK_MSG(static_cast<size_t>(dma_addr_) + bytes <= phys_mem.size(),
                   StrFormat("disk DMA out of physical memory at 0x%08x", dma_addr_));
+    WRL_CHECK_MSG(disk_off + bytes <= image_.size(),
+                  StrFormat("disk DMA beyond end of disk at sector %u", sector_));
     if (command_ == 1) {
       std::memcpy(phys_mem.data() + dma_addr_, image_.data() + disk_off, bytes);
       if (dma_paddr != nullptr) {

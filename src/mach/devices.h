@@ -20,6 +20,9 @@
 //                              buffer to the analysis program.
 //   +0x44  CONSOLE_PUTDEC (w)  emit a decimal number (debug convenience)
 //
+// DISK_SECTOR/ADDR/COUNT/CMD may not be written while the disk is busy: the
+// transfer runs with the values its command was checked against.
+//
 // The disk charges a latency in *machine cycles* before completing a
 // transfer and raising its interrupt, so a workload doing synchronous I/O
 // spends real simulated time in the kernel idle loop — the raw material for
@@ -30,7 +33,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "mach/phys_mem.h"
 
@@ -62,15 +64,19 @@ struct DiskConfig {
   uint64_t per_sector_cycles = 10000;    // Transfer time per sector.
 };
 
-// The DMA disk.  Owns the disk image (flat byte array).
+// The DMA disk.  Owns the disk image: a flat, lazily zeroed byte array, so
+// sectors nothing has written read as zero and cost no host memory.
 class Disk {
  public:
   explicit Disk(const DiskConfig& config);
 
-  std::vector<uint8_t>& image() { return image_; }
+  PhysMem& image() { return image_; }
+  const PhysMem& image() const { return image_; }
   const DiskConfig& config() const { return config_; }
 
-  // Register interface (called by the machine's MMIO dispatch).
+  // Register interface (called by the machine's MMIO dispatch).  Writing
+  // the sector, address, count or command register while busy throws
+  // wrl::Error.
   void WriteReg(uint32_t reg, uint32_t value, uint64_t now);
   uint32_t ReadReg(uint32_t reg) const;
 
@@ -88,7 +94,7 @@ class Disk {
 
  private:
   DiskConfig config_;
-  std::vector<uint8_t> image_;
+  PhysMem image_;
   uint32_t sector_ = 0;
   uint32_t dma_addr_ = 0;
   uint32_t count_ = 0;

@@ -28,10 +28,10 @@ Machine::Machine(const MachineConfig& config)
     : config_(config),
       fastpath_(ResolveFastPath(config.fastpath)),
       phys_(config.phys_bytes),
-      tlb_(config.tlb_wired),
       memsys_(config.memsys),
       timing_(config.timing),
-      disk_(config.disk) {
+      disk_(config.disk),
+      tlb_(config.tlb_wired) {
   WRL_CHECK(config.phys_bytes % kPageBytes == 0);
   WRL_CHECK_MSG(config.phys_bytes <= kDevicePhysBase, "RAM would shadow the device page");
   cop0_[kCop0Prid] = 0x0230;  // R3000-ish.
@@ -737,13 +737,13 @@ void Machine::Execute(const Inst& inst, uint32_t cur, bool delay) {
         }
         case Op::kTlbwi: {
           unsigned index = (cop0_[kCop0Index] >> 8) & 63;
-          tlb_.entry(index) = {cop0_[kCop0EntryHi], cop0_[kCop0EntryLo]};
+          tlb_.Set(index, {cop0_[kCop0EntryHi], cop0_[kCop0EntryLo]});
           FlushMicroTlb();
           break;
         }
         case Op::kTlbwr: {
           unsigned index = tlb_.Random(instructions_);
-          tlb_.entry(index) = {cop0_[kCop0EntryHi], cop0_[kCop0EntryLo]};
+          tlb_.Set(index, {cop0_[kCop0EntryHi], cop0_[kCop0EntryLo]});
           FlushMicroTlb();
           break;
         }

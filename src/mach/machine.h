@@ -276,7 +276,6 @@ class Machine {
   MachineConfig config_;
   FastPathConfig fastpath_;
   PhysMem phys_;
-  Tlb tlb_;
   MemorySystem memsys_;
   bool timing_;
 
@@ -318,6 +317,9 @@ class Machine {
   uint32_t idle_hi_ = 0;
   Counter idle_instructions_;
   uint64_t cycle_latch_hi_ = 0;
+  // Last, so its 2 KB bucket index does not push the registers and counters
+  // the step loop touches apart.
+  Tlb tlb_;
 };
 
 }  // namespace wrl

@@ -2,6 +2,11 @@
 // tlbwr-based random replacement with a free-running Random register
 // confined to the unwired range, and an ASID tag so address spaces need not
 // be flushed on context switch.
+//
+// Lookups are indexed, not a 64-entry scan: a VPN-hashed bucket array holds,
+// per bucket, a mask of the slots whose VPN hashes there.  Only the VPN is
+// hashed, because a global entry matches under every ASID.  The result is
+// exactly the scan's: the lowest-index matching slot.
 #ifndef WRLTRACE_MACH_TLB_H_
 #define WRLTRACE_MACH_TLB_H_
 
@@ -42,13 +47,14 @@ class Tlb {
 
   explicit Tlb(unsigned wired = 8) : wired_(wired) { Reset(); }
 
-  // Associative lookup.  Returns the matching entry index, or nullopt.
-  // A match requires VPN equality and (global || asid match); validity and
-  // dirtiness are the caller's business, as on real hardware.
+  // Associative lookup.  Returns the lowest matching entry index, or
+  // nullopt.  A match requires VPN equality and (global || asid match);
+  // validity and dirtiness are the caller's business, as on real hardware.
   std::optional<unsigned> Lookup(uint32_t vaddr, uint8_t asid) const;
 
-  TlbEntry& entry(unsigned index) { return entries_[index]; }
   const TlbEntry& entry(unsigned index) const { return entries_[index]; }
+  // Overwrites slot `index` (< kEntries) and moves it to its new bucket.
+  void Set(unsigned index, const TlbEntry& entry);
 
   // The Random register: decrements every instruction, wrapping within
   // [wired, kEntries).  Deterministic given the instruction count.
@@ -60,9 +66,18 @@ class Tlb {
   unsigned wired() const { return wired_; }
   void Reset();
 
+  // The index itself, for its oracle test: the bucket a VPN hashes to, and
+  // the mask of the slots filed under a bucket.
+  static constexpr unsigned kBucketBits = 8;
+  static constexpr unsigned kBuckets = 1u << kBucketBits;
+  static unsigned Bucket(uint32_t vpn) { return (vpn * 0x9e3779b1u) >> (32 - kBucketBits); }
+  uint64_t bucket_mask(unsigned bucket) const { return buckets_[bucket]; }
+
  private:
   unsigned wired_;
   std::array<TlbEntry, kEntries> entries_{};
+  // Bit i of buckets_[b] is set iff Bucket(entries_[i].vpn()) == b.
+  std::array<uint64_t, kBuckets> buckets_{};
 };
 
 }  // namespace wrl

@@ -19,8 +19,8 @@ bool TlbSimulator::OnRef(const TraceRef& ref) {
     if (!index) {
       ++stats_.ktlb_misses;
       unsigned slot = tlb_.Random(instruction_counter_);
-      tlb_.entry(slot) = {MakeEntryHi(vaddr, asid),
-                          MakeEntryLo(vaddr & 0x0ffff000u, true, true, true)};
+      tlb_.Set(slot, {MakeEntryHi(vaddr, asid),
+                      MakeEntryLo(vaddr & 0x0ffff000u, true, true, true)});
     }
     return false;
   }
@@ -45,7 +45,7 @@ bool TlbSimulator::OnRef(const TraceRef& ref) {
   }
   ++stats_.utlb_misses;
   unsigned slot = tlb_.Random(instruction_counter_);
-  tlb_.entry(slot) = {MakeEntryHi(vaddr, asid), MakeEntryLo(0, true, true, false)};
+  tlb_.Set(slot, {MakeEntryHi(vaddr, asid), MakeEntryLo(0, true, true, false)});
   SynthesizeHandler({ref.kind, vaddr, 4, asid, false, false});
   return true;
 }

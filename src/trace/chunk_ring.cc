@@ -34,7 +34,9 @@ bool ChunkRing::Pop(std::vector<uint32_t>& out) {
   std::unique_lock<std::mutex> lock(mutex_);
   if (size_ == 0 && !closed_ && !cancelled_) {
     ++consumer_starves_;
+    consumer_waiting_ = true;
     not_empty_.wait(lock, [this] { return size_ > 0 || closed_ || cancelled_; });
+    consumer_waiting_ = false;
   }
   if (cancelled_ || size_ == 0) {
     return false;  // Cancelled, or closed and fully drained.
@@ -68,6 +70,11 @@ void ChunkRing::Cancel() {
 bool ChunkRing::cancelled() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return cancelled_;
+}
+
+bool ChunkRing::consumer_waiting() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return consumer_waiting_ && size_ == 0;  // A push is about to wake it.
 }
 
 void ChunkRing::RegisterStats(StatsRegistry& registry, const std::string& prefix) {

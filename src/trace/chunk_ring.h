@@ -82,6 +82,10 @@ class ChunkRing {
   void Cancel();
 
   bool cancelled() const;
+  // True while the consumer is blocked in Pop on an empty ring: it has
+  // taken every chunk pushed so far.  Tests wait on this instead of
+  // sleeping to make the consumer starve.
+  bool consumer_waiting() const;
 
   // ---- Observability (quiesced ring) ----
   uint64_t chunks() const { return chunks_; }
@@ -106,6 +110,7 @@ class ChunkRing {
   size_t size_ = 0;  // Occupied slots.
   bool closed_ = false;
   bool cancelled_ = false;
+  bool consumer_waiting_ = false;
 
   // Transport accounting (mutated under mutex_; read once quiesced).
   uint64_t chunks_ = 0;

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <optional>
+#include <vector>
+
+#include "support/error.h"
+#include "support/rng.h"
 #include "tests/test_util.h"
 
 namespace wrl {
@@ -328,6 +334,57 @@ wait:   b    wait
   EXPECT_EQ(m.disk().operations(), 1u);
 }
 
+// A transfer runs with the parameters its command was checked against:
+// rewriting one mid-transfer is an error, not a DMA outside the disk image
+// or physical memory.
+TEST(Machine, DiskParametersAreFixedWhileBusy) {
+  struct Rewrite {
+    const char* reg;
+    const char* value;
+  };
+  const Rewrite rewrites[] = {
+      {"0x20", "0x00ffffff"},  // DISK_SECTOR: far past the end of the disk.
+      {"0x24", "0x7ffff000"},  // DISK_ADDR: past the end of RAM.
+      {"0x28", "0x0000ffff"},  // DISK_COUNT: more sectors than the disk has.
+      {"0x2c", "1"},           // DISK_CMD: a second command.
+  };
+  for (const Rewrite& rewrite : rewrites) {
+    SCOPED_TRACE(rewrite.reg);
+    MachineConfig config;
+    config.disk.seek_cycles = 500;
+    config.disk.per_sector_cycles = 100;
+    Executable exe = BuildBareProgram(std::string(R"(
+        .globl _start
+_start: li   $t9, 0xbfd00000
+        li   $t0, 3
+        sw   $t0, 0x20($t9)      # sector
+        li   $t0, 0x00200000
+        sw   $t0, 0x24($t9)      # DMA phys addr
+        li   $t0, 1
+        sw   $t0, 0x28($t9)      # count
+        sw   $t0, 0x2c($t9)      # CMD = read
+        li   $t0, )") + rewrite.value + R"(
+        sw   $t0, )" + rewrite.reg + R"(($t9)   # rewrite a parameter mid-transfer
+        li   $t1, 2
+poll:   lw   $t0, 0x30($t9)      # DISK_STATUS
+        bne  $t0, $t1, poll
+        nop
+        li   $v0, 7
+        sw   $v0, 4($t9)         # halt(7)
+spin:   b    spin
+        nop
+)");
+    Machine m{config};
+    LoadBare(m, exe);
+    try {
+      m.Run(100000);
+      ADD_FAILURE() << "the rewrite was accepted; halted=" << m.halted();
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("while busy"), std::string::npos) << e.what();
+    }
+  }
+}
+
 TEST(Machine, UserModeCannotTouchKseg) {
   // Drop to user mode via rfe + jr into a user-mapped page, then try to
   // read kseg0: expect AdEL recorded by the general handler.
@@ -521,15 +578,151 @@ TEST(Machine, RandomRegisterStaysInUnwiredRange) {
 
 TEST(Tlb, AsidIsolation) {
   Tlb tlb;
-  tlb.entry(10) = {MakeEntryHi(0x4000, 3), MakeEntryLo(0x100000, true, true, false)};
+  tlb.Set(10, {MakeEntryHi(0x4000, 3), MakeEntryLo(0x100000, true, true, false)});
   EXPECT_TRUE(tlb.Lookup(0x4000, 3).has_value());
   EXPECT_FALSE(tlb.Lookup(0x4000, 4).has_value());
 }
 
 TEST(Tlb, GlobalEntriesIgnoreAsid) {
   Tlb tlb;
-  tlb.entry(10) = {MakeEntryHi(0x4000, 3), MakeEntryLo(0x100000, true, true, true)};
+  tlb.Set(10, {MakeEntryHi(0x4000, 3), MakeEntryLo(0x100000, true, true, true)});
   EXPECT_TRUE(tlb.Lookup(0x4000, 7).has_value());
+}
+
+
+// ---- The indexed lookup against the 64-entry scan ----
+
+using TlbModel = std::array<TlbEntry, Tlb::kEntries>;
+
+// The reference: the plain associative scan, lowest index first.
+std::optional<unsigned> ScanLookup(const TlbModel& model, uint32_t vaddr, uint8_t asid) {
+  uint32_t vpn = vaddr >> 12;
+  for (unsigned i = 0; i < Tlb::kEntries; ++i) {
+    if (model[i].vpn() == vpn && (model[i].global() || model[i].asid() == asid)) {
+      return i;
+    }
+  }
+  return std::nullopt;
+}
+
+// What Reset leaves: every slot parked on its own kseg0 page.
+TlbModel ParkedModel() {
+  TlbModel model;
+  for (unsigned i = 0; i < Tlb::kEntries; ++i) {
+    model[i] = {MakeEntryHi(kKseg0 + i * kPageBytes, 0), 0};
+  }
+  return model;
+}
+
+// The index files every slot under its VPN's bucket and nowhere else.
+void ExpectIndexExact(const Tlb& tlb, const TlbModel& model) {
+  std::vector<uint64_t> expected(Tlb::kBuckets, 0);
+  for (unsigned i = 0; i < Tlb::kEntries; ++i) {
+    ASSERT_EQ(tlb.entry(i).entry_hi, model[i].entry_hi) << "slot " << i;
+    ASSERT_EQ(tlb.entry(i).entry_lo, model[i].entry_lo) << "slot " << i;
+    expected[Tlb::Bucket(model[i].vpn())] |= uint64_t{1} << i;
+  }
+  for (unsigned b = 0; b < Tlb::kBuckets; ++b) {
+    ASSERT_EQ(tlb.bucket_mask(b), expected[b]) << "bucket " << b;
+  }
+}
+
+TEST(TlbIndex, ResetFilesTheParkedEntries) {
+  Tlb tlb;
+  ExpectIndexExact(tlb, ParkedModel());
+  // tlbp can probe a parked entry, so the index must find it.
+  EXPECT_EQ(tlb.Lookup(kKseg0 + 5 * kPageBytes, 0), std::optional<unsigned>(5));
+}
+
+TEST(TlbIndex, LowestMatchingIndexWins) {
+  Tlb tlb;
+  const TlbEntry e = {MakeEntryHi(0x4000, 3), MakeEntryLo(0x100000, true, true, false)};
+  tlb.Set(40, e);
+  tlb.Set(9, e);
+  tlb.Set(20, e);
+  EXPECT_EQ(tlb.Lookup(0x4000, 3), std::optional<unsigned>(9));
+  tlb.Set(9, {MakeEntryHi(0x5000, 3), 0});  // Slot 9 leaves the VPN.
+  EXPECT_EQ(tlb.Lookup(0x4000, 3), std::optional<unsigned>(20));
+}
+
+TEST(TlbIndex, MatchesTheLinearScanOnRandomSequences) {
+  // VPN pools that force the interesting cases: a few kuseg VPNs hashing to
+  // one bucket, a small pool that collects duplicates, kseg2 pages for
+  // global entries, and the parked kseg0 pages tlbp may probe.
+  std::vector<uint32_t> shared = {0x400};
+  for (uint32_t vpn = 0x401; shared.size() < 4; ++vpn) {
+    if (Tlb::Bucket(vpn) == Tlb::Bucket(shared[0])) {
+      shared.push_back(vpn);
+    }
+  }
+  const std::vector<uint32_t> small = {0x0, 0x1, 0x10, 0x400, 0x401, 0x7fffe, 0x7ffff, 0x10000};
+  const std::vector<uint32_t> kseg2 = {kKseg2 >> 12, (kKseg2 >> 12) + 1, (kKseg2 >> 12) + 0x200};
+  unsigned dup_hits = 0;         // Lookups that matched two or more slots.
+  unsigned shared_hits = 0;      // Hits on a VPN whose bucket also files another VPN.
+  unsigned global_hits = 0;      // Hits on a global entry under a foreign ASID.
+  unsigned bucket_moves = 0;     // Sets that moved a slot to another bucket.
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    Tlb tlb;
+    TlbModel model = ParkedModel();
+    auto pick_vpn = [&]() -> uint32_t {
+      switch (rng.Below(5)) {
+        case 0: return shared[rng.Below(static_cast<uint32_t>(shared.size()))];
+        case 1: return small[rng.Below(static_cast<uint32_t>(small.size()))];
+        case 2: return kseg2[rng.Below(static_cast<uint32_t>(kseg2.size()))];
+        case 3: return (kKseg0 >> 12) + rng.Below(Tlb::kEntries);
+        default: return rng.Below(1u << 19);  // Anywhere in kuseg.
+      }
+    };
+    for (unsigned step = 0; step < 4000; ++step) {
+      uint32_t op = rng.Below(100);
+      if (op < 2) {
+        tlb.Reset();
+        model = ParkedModel();
+        ASSERT_NO_FATAL_FAILURE(ExpectIndexExact(tlb, model));
+      } else if (op < 45) {
+        unsigned slot = rng.Below(Tlb::kEntries);
+        uint32_t vpn = pick_vpn();
+        TlbEntry e = {MakeEntryHi(vpn << 12, static_cast<uint8_t>(rng.Below(64))),
+                      MakeEntryLo(rng.Below(1u << 20) << 12, rng.Below(2) != 0, rng.Below(2) != 0,
+                                  rng.Below(4) == 0)};
+        bucket_moves += Tlb::Bucket(model[slot].vpn()) != Tlb::Bucket(vpn);
+        tlb.Set(slot, e);
+        model[slot] = e;
+      } else {
+        uint32_t vaddr = (pick_vpn() << 12) | rng.Below(kPageBytes);
+        for (unsigned asid = 0; asid < 64; ++asid) {
+          std::optional<unsigned> want = ScanLookup(model, vaddr, static_cast<uint8_t>(asid));
+          ASSERT_EQ(tlb.Lookup(vaddr, static_cast<uint8_t>(asid)), want)
+              << "step " << step << " vaddr 0x" << std::hex << vaddr << " asid " << std::dec
+              << asid;
+          if (!want) {
+            continue;
+          }
+          const TlbEntry& hit = model[*want];
+          unsigned matches = 0;
+          bool shares = false;
+          for (const TlbEntry& e : model) {
+            matches += e.vpn() == hit.vpn() && (e.global() || e.asid() == asid);
+            shares |= e.vpn() != hit.vpn() && Tlb::Bucket(e.vpn()) == Tlb::Bucket(hit.vpn());
+          }
+          dup_hits += matches > 1;
+          shared_hits += shares;
+          global_hits += hit.global() && hit.asid() != asid;
+        }
+      }
+      if (step % 64 == 0) {
+        ASSERT_NO_FATAL_FAILURE(ExpectIndexExact(tlb, model));
+      }
+    }
+    ASSERT_NO_FATAL_FAILURE(ExpectIndexExact(tlb, model));
+  }
+  // The sequences must actually have exercised every case.
+  EXPECT_GT(dup_hits, 0u);
+  EXPECT_GT(shared_hits, 0u);
+  EXPECT_GT(global_hits, 0u);
+  EXPECT_GT(bucket_moves, 0u);
 }
 
 }  // namespace

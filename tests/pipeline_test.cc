@@ -5,7 +5,6 @@
 // per-ref-shim modes.  The transport itself must apply backpressure when
 // the consumer is slow, count its stalls/starves, and shut down cleanly
 // when the consumer chain throws mid-stream.
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <string>
@@ -92,23 +91,34 @@ TEST(ChunkRing, PreservesOrderUnderBackpressure) {
 
 TEST(ChunkRing, CountsConsumerStarves) {
   ChunkRing ring(4);
-  std::atomic<uint64_t> seen{0};
+  uint64_t seen = 0;
   std::thread consumer([&] {
     std::vector<uint32_t> chunk;
     while (ring.Pop(chunk)) {
       seen += chunk.size();
     }
   });
+  // The producer pushes (and finally closes) only once the consumer has
+  // taken everything and is waiting on the empty ring: every Pop starves,
+  // and the ring never holds more than one chunk, so no push can stall.
+  auto wait_for_consumer = [&] {
+    while (!ring.consumer_waiting()) {
+      std::this_thread::yield();
+    }
+  };
   for (uint32_t i = 0; i < 8; ++i) {
-    // A slow producer: the consumer drains instantly and must wait.
-    std::this_thread::sleep_for(std::chrono::microseconds(500));
+    wait_for_consumer();
     ASSERT_TRUE(ring.Push(&i, 1));
   }
+  wait_for_consumer();
   ring.Close();
   consumer.join();
-  EXPECT_EQ(seen.load(), 8u);
-  EXPECT_GE(ring.consumer_starves(), 1u);
+  // `seen` and the ring's counters are plain fields: read them only after
+  // the join.
+  EXPECT_EQ(seen, 8u);
+  EXPECT_EQ(ring.consumer_starves(), 9u);
   EXPECT_EQ(ring.producer_stalls(), 0u);
+  EXPECT_EQ(ring.max_occupancy(), 1u);
 }
 
 TEST(ChunkRing, CancelUnblocksBlockedProducer) {

@@ -4,8 +4,12 @@
 // measured-vs-predicted experiment runs for a sample of workloads.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "harness/experiment.h"
 #include "kernel/system_build.h"
+#include "trace/trace_archive.h"
 #include "workloads/workloads.h"
 
 namespace wrl {
@@ -65,6 +69,43 @@ INSTANTIATE_TEST_SUITE_P(AllTwelve, WorkloadRuns,
                          [](const ::testing::TestParamInfo<const char*>& info) {
                            return std::string(info.param);
                          });
+
+// The disk image, written in place into a fresh (lazily zeroed) disk, must be
+// byte-identical over all 16 MB to the image the flat filesystem has always
+// had.  The CRCs were recorded from the zero-filled image that earlier
+// versions built as a vector and copied in, so a byte past the files that
+// did not read as zero would change them.
+uint32_t DiskImageCrc(const std::vector<DiskFile>& files) {
+  Disk disk{DiskConfig{}};
+  WriteDiskImage(files, disk.image());
+  return Crc32(disk.image().data(), disk.image().size());
+}
+
+TEST(DiskImage, MatchesTheRecordedImages) {
+  const std::map<std::string, uint32_t> want = {
+      {"sed", 0xd46069bf},      {"egrep", 0xf7b4dcfd},    {"yacc", 0x965837c4},
+      {"gcc", 0x3d55f570},      {"compress", 0x2f71660d}, {"espresso", 0x6d149e3e},
+      {"lisp", 0xa47ca14a},     {"eqntott", 0xa03065f4},  {"fpppp", 0xa47ca14a},
+      {"doduc", 0xa47ca14a},    {"liv", 0xa47ca14a},      {"tomcatv", 0xa47ca14a},
+  };
+  const std::vector<WorkloadSpec> workloads = PaperWorkloads(0.1);
+  ASSERT_EQ(workloads.size(), want.size());
+  for (const WorkloadSpec& w : workloads) {
+    ASSERT_TRUE(want.count(w.name)) << w.name;
+    EXPECT_EQ(DiskImageCrc(w.files), want.at(w.name)) << w.name;
+  }
+
+  // Extra capacity must read as zero too, including a file with no content.
+  std::vector<DiskFile> files(3);
+  files[0].name = "alpha";
+  files[0].content = {1, 2, 3, 4, 5};
+  files[1].name = "beta.out";
+  files[1].extra_capacity = 70000;
+  files[2].name = "gamma";
+  files[2].content.assign(1300, 0xab);
+  files[2].extra_capacity = 9000;
+  EXPECT_EQ(DiskImageCrc(files), 0xfa381213u);
+}
 
 TEST(Experiment, SedEndToEnd) {
   // The full §5 methodology on one workload: measured vs predicted with no
