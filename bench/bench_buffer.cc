@@ -40,16 +40,11 @@ struct SweepPoint {
 SweepPoint RunPoint(const WorkloadSpec& w, uint32_t kb) {
   SweepPoint point;
   point.kb = kb;
-  SystemConfig config;
-  config.tracing = kb != 0;
-  config.clock_period = config.tracing ? 200000 * 15 : 200000;
-  if (config.tracing) {
-    config.trace_buf_bytes = kb * 1024;
+  ExperimentOptions options;
+  if (kb != 0) {
+    options.trace_buf_bytes = kb * 1024;
   }
-  config.program_source = w.source;
-  config.program_name = w.name;
-  config.files = w.files;
-  auto sys = BuildSystem(config);
+  auto sys = BuildSystem(MakeConfig(w, options, kb != 0));
   sys->SetTraceSink([](const uint32_t*, size_t) {});
   RunResult r = sys->Run(3'000'000'000ull);
   point.halted = r.halted;

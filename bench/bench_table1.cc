@@ -25,11 +25,7 @@ struct Row {
 
 Row RunWorkload(const WorkloadSpec& w, EventRecorder* events) {
   Row row;
-  SystemConfig config;
-  config.program_source = w.source;
-  config.program_name = w.name;
-  config.files = w.files;
-  auto sys = BuildSystem(config);
+  auto sys = BuildSystem(MakeConfig(w, {}, false));
   events->SetCycleSource([m = &sys->machine()]() -> uint64_t { return m->cycles(); });
   RunResult r;
   {

@@ -1,45 +1,30 @@
 // A TLB study in the style the paper's traces enabled (its reference [9],
-// "A Simulation Based Study of TLB Performance"), rebuilt on the
-// single-pass sweep engine: the traced machine runs *once*, its drained
-// trace is captured into a packed TraceLog, and the whole configuration
-// family — every TLB capacity on the LRU curve plus an 8-point cache-size
-// family — is priced by ONE pass over the materialized stream
-// (Mattson-style stack distances for the TLB, Hill-&-Smith forest
-// simulation for the caches), next to the faithful 64-entry production
-// model.  A K-point sweep costs one traced run + one parse + one pass,
-// instead of the K replays the previous revision fanned out.
+// "A Simulation Based Study of TLB Performance"), run as one validation
+// experiment: the traced machine's drains feed one live analysis as they
+// arrive, and the single-pass sweep engine on that analysis prices the
+// whole configuration family — every TLB capacity on the LRU curve
+// (Mattson-style stack distances) plus 8-point I- and D-cache families
+// (Hill-&-Smith forest simulation) — next to the faithful 64-entry
+// production model the primary simulator runs.
 //
-//   $ ./build/examples/tlb_study [--scale=S] [--jobs N] [--sweep-sizes=8,64,...]
+//   $ ./build/examples/tlb_study [--scale=S] [--sweep-sizes=8,64,...]
 //                                [--check] [--json report.json]
 //
-// --check replays every cache family point through an independent
-// TraceDrivenSimulator and fails loudly unless the sweep's miss counts are
-// bit-identical — the exactness contract, verified on demand.
+// --check runs the experiment again with one dedicated TraceDrivenSimulator
+// per family size (I- and D-cache both at that size) and fails loudly
+// unless the sweep's miss counts are bit-identical at every point — the
+// exactness contract, verified on demand.
 //
-// With --json the run emits a wrlstats/1 report: the full counter-registry
-// snapshot of the traced and measured systems, the capture's compression
-// ratio, the replay/sweep throughput next to the live-analysis bound, the
-// TLB miss curves, the cache family, and the event timeline (load the file
-// in chrome://tracing or ui.perfetto.dev).
+// With --json the run emits the wrlstats/1 run report bench_figure3 emits:
+// the experiment's counters, the sweep curves and families, and the event
+// timeline (load the file in chrome://tracing or ui.perfetto.dev).
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "harness/replay_engine.h"
-#include "kernel/system_build.h"
-#include "sim/predictor.h"
-#include "sim/tlb_sim.h"
-#include "stats/events.h"
-#include "stats/stats.h"
-#include "support/json.h"
-#include "sweep/sweep.h"
-#include "trace/parser.h"
-#include "trace/trace_log.h"
-#include "workloads/workloads.h"
 
 using namespace wrl;
 
@@ -86,276 +71,112 @@ bool HasFlag(int argc, char** argv, const char* flag) {
   return false;
 }
 
-}  // namespace
+// One dedicated simulator per family size, with the I- and D-cache both at
+// that size, so each replay checks one point of either family.
+std::vector<ReplayVariant> FamilyReplays(const SweepResult& sweep) {
+  std::vector<ReplayVariant> variants;
+  for (size_t i = 0; i < sweep.icache.size(); ++i) {
+    ReplayVariant v;
+    v.name = "check" + std::to_string(sweep.icache[i].size_bytes / 1024) + "k";
+    v.memsys.icache = {sweep.icache[i].size_bytes, sweep.icache[i].line_bytes};
+    v.memsys.dcache = {sweep.dcache[i].size_bytes, sweep.dcache[i].line_bytes};
+    variants.push_back(v);
+  }
+  return variants;
+}
 
-int main(int argc, char** argv) {
-  std::string json_path = BenchJsonPath(argc, argv);
-  unsigned jobs = BenchJobs(argc, argv);
+// --check: every family point against its dedicated replay.  Returns false
+// (after saying where) unless all of them are bit-identical.
+bool CheckFamilies(const WorkloadSpec& w, ExperimentOptions options, const SweepResult& sweep) {
+  options.sweep = SweepOptions();
+  options.replay_variants = FamilyReplays(sweep);
+  const size_t points = sweep.icache.size() + sweep.dcache.size();
+  printf("\nverifying %zu family points against %zu independent replays...\n", points,
+         options.replay_variants.size());
+  ExperimentResult check = RunExperiment(w, options);
+  uint64_t replay_wall_us = 0;
+  for (size_t i = 0; i < check.replays.size(); ++i) {
+    const MemSysStats& got = check.replays[i].prediction.memsys_stats;
+    replay_wall_us += check.replays[i].wall_us;
+    if (got.icache_misses != sweep.icache[i].misses ||
+        got.dcache_misses != sweep.dcache[i].misses) {
+      fprintf(stderr, "*** MISMATCH at %uK: sweep i=%llu d=%llu, replay i=%llu d=%llu ***\n",
+              sweep.icache[i].size_bytes / 1024,
+              static_cast<unsigned long long>(sweep.icache[i].misses),
+              static_cast<unsigned long long>(sweep.dcache[i].misses),
+              static_cast<unsigned long long>(got.icache_misses),
+              static_cast<unsigned long long>(got.dcache_misses));
+      return false;
+    }
+  }
+  printf("all %zu points bit-identical; %zu replays took %.1fms vs one %.1fms sweep pass "
+         "(%.1fx)\n",
+         points, check.replays.size(), static_cast<double>(replay_wall_us) / 1000.0,
+         static_cast<double>(sweep.wall_us) / 1000.0,
+         sweep.wall_us == 0
+             ? 0.0
+             : static_cast<double>(replay_wall_us) / static_cast<double>(sweep.wall_us));
+  return true;
+}
+
+int Run(int argc, char** argv) {
   const double scale = BenchScaleOr(argc, argv, 0.15);
-  const bool check = HasFlag(argc, argv, "--check");
   const std::vector<unsigned> sizes = SweepSizes(argc, argv);
   const unsigned max_entries =
       sizes.empty() ? 64u : *std::max_element(sizes.begin(), sizes.end());
   WorkloadSpec w = PaperWorkload("eqntott", scale);  // The TLB-hostile one.
-  printf("collecting the system trace of %s (one traced run, one sweep pass)...\n",
+  printf("running %s once: one traced run, one live analysis with the sweep...\n",
          w.name.c_str());
 
   EventRecorder events;
-  SystemConfig config;
-  config.tracing = true;
-  config.clock_period = 200000 * 15;
-  config.program_source = w.source;
-  config.program_name = w.name;
-  config.files = w.files;
-  config.events = &events;
-  auto sys = BuildSystem(config);
-
-  // Capture once: the drains land in the packed TraceLog; nothing is
-  // parsed while the machine runs.
-  TraceLog log;
-  sys->SetTraceSink([&log](const uint32_t* words, size_t n) { log.Append(words, n); });
-
-  // The measured (uninstrumented) system is independent of the sweep; it
-  // runs after the replays, for the kernel's own TLB miss count.
-  SystemConfig untraced = config;
-  untraced.tracing = false;
-  untraced.clock_period = 200000;
-  untraced.events = nullptr;
-  auto measured = BuildSystem(untraced);
-
-  RunResult r;
-  uint64_t traced_wall_us = 0;
-  {
-    events.SetCycleSource([m = &sys->machine()]() -> uint64_t { return m->cycles(); });
-    EventRecorder::Scope scope(&events, "run.traced:" + w.name, "run");
-    uint64_t wall0 = events.ElapsedUs();
-    r = sys->Run(3'000'000'000ull);
-    traced_wall_us = events.ElapsedUs() - wall0;
-  }
-  events.SetCycleSource(nullptr);
-  if (!r.halted) {
-    printf("did not halt!\n");
-    return 1;
-  }
-
-  // One parse of the capture, then exactly two consumers of the same
-  // materialized stream: the faithful production TLB and the sweep engine
-  // pricing every other configuration in its one pass.
-  ReplaySource source;
-  source.log = &log;
-  source.kernel_table = &sys->kernel_table();
-  source.user_tables.emplace_back(1, &sys->user_table());
-  ReplayEngine engine(std::move(source));
-  {
-    EventRecorder::Scope scope(&events, "replay.parse", "analysis");
-    engine.Parse();
-  }
-  if (engine.parser_stats().validation_errors > 0) {
-    fprintf(stderr, "*** WARNING: %llu trace validation errors — the reconstructed trace "
-            "is suspect ***\n",
-            static_cast<unsigned long long>(engine.parser_stats().validation_errors));
-  }
-
-  SweepConfig sweep_config;
-  sweep_config.page_map = measured->PageMap();
-  sweep_config.tlb_max_entries = max_entries;
-  sweep_config.icache.push_back({kIcacheLine, kCacheFamilyMin, kCacheFamilyMax});
-  sweep_config.dcache.push_back({kDcacheLine, kCacheFamilyMin, kCacheFamilyMax});
-
-  std::vector<ReplayEngine::Config> configs;
-  configs.push_back({"production64", [] { return std::make_unique<TlbSimulator>(); }});
-  configs.push_back(
-      {"sweep", [&sweep_config] { return std::make_unique<SweepEngine>(sweep_config); }});
-  ReplayEngine::Options ropts;
-  ropts.jobs = jobs;
-  ropts.events = &events;
-  std::vector<ReplayEngine::Outcome> outcomes;
-  {
-    EventRecorder::Scope scope(&events, "replay.fanout", "analysis");
-    outcomes = engine.Run(configs, ropts);
-  }
-  auto* production = static_cast<TlbSimulator*>(outcomes[0].sink.get());
-  auto* sweep = static_cast<SweepEngine*>(outcomes[1].sink.get());
-  const SweepResult& sres = sweep->Finish();
-  const uint64_t sweep_wall_us = outcomes[1].wall_us;
+  ExperimentOptions options;
+  options.events = &events;
+  options.sweep.icache.push_back({kIcacheLine, kCacheFamilyMin, kCacheFamilyMax});
+  options.sweep.dcache.push_back({kDcacheLine, kCacheFamilyMin, kCacheFamilyMax});
+  options.sweep.tlb_max_entries = max_entries;
+  ExperimentResult result = RunExperiment(w, options);
+  PrintResultWarnings(result, stderr);
+  const SweepResult& sweep = result.sweep;
 
   printf("\nLRU TLB capacity-miss curve (exact, one stack-distance pass):\n");
   printf("%-10s %12s\n", "entries", "misses");
   for (unsigned entries : sizes) {
-    if (entries == 0 || entries > sres.tlb_lru_misses.size()) {
+    if (entries > sweep.tlb_lru_misses.size()) {
       continue;
     }
     printf("%8u   %12llu\n", entries,
-           static_cast<unsigned long long>(sres.tlb_lru_misses[entries - 1]));
+           static_cast<unsigned long long>(sweep.tlb_lru_misses[entries - 1]));
   }
   printf("\ncache-size family (exact, same pass; line %u/%u bytes):\n", kIcacheLine, kDcacheLine);
   printf("%-10s %12s %12s\n", "size", "i-misses", "d-misses");
-  for (size_t i = 0; i < sres.icache.size(); ++i) {
-    printf("%7uK   %12llu %12llu\n", sres.icache[i].size_bytes / 1024,
-           static_cast<unsigned long long>(sres.icache[i].misses),
-           static_cast<unsigned long long>(sres.dcache[i].misses));
+  for (size_t i = 0; i < sweep.icache.size(); ++i) {
+    printf("%7uK   %12llu %12llu\n", sweep.icache[i].size_bytes / 1024,
+           static_cast<unsigned long long>(sweep.icache[i].misses),
+           static_cast<unsigned long long>(sweep.dcache[i].misses));
   }
   printf("\nfaithful 64-entry simulation (random replacement, synthesized\n");
   printf("handler refs): %llu misses\n",
-         static_cast<unsigned long long>(production->stats().utlb_misses));
-
-  {
-    events.SetCycleSource([m = &measured->machine()]() -> uint64_t { return m->cycles(); });
-    EventRecorder::Scope scope(&events, "run.measured:" + w.name, "run");
-    measured->Run(3'000'000'000ull);
-  }
-  events.SetCycleSource(nullptr);
+         static_cast<unsigned long long>(result.prediction.utlb_misses));
   printf("measured on the uninstrumented system (kernel counter): %llu misses\n",
-         static_cast<unsigned long long>(measured->UtlbMissCount()));
-
-  // --check: replay every cache family point through an independent
-  // TraceDrivenSimulator and demand bit-identical miss counts.  Also the
-  // honest speedup measurement: those K replays are exactly what the sweep
-  // pass replaced.
-  uint64_t check_wall_us = 0;
-  if (check) {
-    printf("\nverifying %zu family points against independent replays...\n", sres.icache.size());
-    std::vector<ReplayEngine::Config> check_configs;
-    for (const SweepCachePoint& point : sres.icache) {
-      PredictorConfig pc;
-      pc.page_map = measured->PageMap();
-      pc.memsys.icache = {point.size_bytes, point.line_bytes};
-      check_configs.push_back({"check" + std::to_string(point.size_bytes), [pc] {
-                                 return std::make_unique<TraceDrivenSimulator>(pc);
-                               }});
-    }
-    std::vector<ReplayEngine::Outcome> check_outcomes;
-    {
-      EventRecorder::Scope scope(&events, "replay.check", "analysis");
-      check_outcomes = engine.Run(check_configs, ropts);
-    }
-    for (size_t i = 0; i < check_outcomes.size(); ++i) {
-      auto* sim = static_cast<TraceDrivenSimulator*>(check_outcomes[i].sink.get());
-      Prediction p = sim->Finish();
-      const SweepCachePoint& point = sres.icache[i];
-      check_wall_us += check_outcomes[i].wall_us;
-      if (p.memsys_stats.icache_misses != point.misses ||
-          p.memsys_stats.dcache_misses != sweep->DcacheMisses(kDcacheLine, 64 * 1024)) {
-        fprintf(stderr,
-                "*** MISMATCH at %uK: sweep i=%llu d=%llu, replay i=%llu d=%llu ***\n",
-                point.size_bytes / 1024, static_cast<unsigned long long>(point.misses),
-                static_cast<unsigned long long>(sweep->DcacheMisses(kDcacheLine, 64 * 1024)),
-                static_cast<unsigned long long>(p.memsys_stats.icache_misses),
-                static_cast<unsigned long long>(p.memsys_stats.dcache_misses));
-        return 1;
-      }
-    }
-    printf("all %zu points bit-identical; %zu replays took %.1fms vs one %.1fms sweep pass "
-           "(%.1fx)\n",
-           sres.icache.size(), check_outcomes.size(),
-           static_cast<double>(check_wall_us) / 1000.0,
-           static_cast<double>(sweep_wall_us) / 1000.0,
-           sweep_wall_us == 0
-               ? 0.0
-               : static_cast<double>(check_wall_us) / static_cast<double>(sweep_wall_us));
-  }
-
-  // Throughput accounting: the replay fan-out against the live-analysis
-  // bound it replaced (refs over the traced machine run's wall time — the
-  // fastest live analysis could possibly go, since it runs in lockstep
-  // with trace generation), and the sweep's equivalent-replay rate (one
-  // pass pricing family_points configurations at once).  The replay rate
-  // covers the real replays only — the sweep pass is priced per family
-  // point by sweep.mrefs_per_sec, matching the harness's accounting.
-  const double refs = static_cast<double>(engine.refs().size());
-  const double live_mrefs =
-      traced_wall_us == 0 ? 0 : refs / (static_cast<double>(traced_wall_us) * 1e-6) / 1e6;
-  const double replay_mrefs =
-      outcomes[0].wall_us == 0 ? 0 : refs / static_cast<double>(outcomes[0].wall_us);
-  const double speedup = live_mrefs == 0 ? 0 : replay_mrefs / live_mrefs;
-  const double sweep_mrefs =
-      sweep_wall_us == 0
-          ? 0
-          : static_cast<double>(sres.family_points) * refs / static_cast<double>(sweep_wall_us);
-  printf("\ncapture: %llu words -> %llu bytes (%.2fx compression)\n",
-         static_cast<unsigned long long>(log.words()),
-         static_cast<unsigned long long>(log.stored_bytes()), log.CompressionRatio());
-  printf("replay:  %zu configs x %.1fM refs; fan-out at %.1f Mrefs/s (live-analysis "
-         "bound %.1f Mrefs/s, %.1fx)\n",
-         outcomes.size(), refs / 1e6, replay_mrefs, live_mrefs, speedup);
-  printf("sweep:   %zu family points + %u-entry TLB curve in one pass "
+         static_cast<unsigned long long>(result.measured_utlb));
+  printf("\nsweep: %zu family points + %u-entry TLB curve in one pass "
          "(%.0f Mrefs/s equivalent)\n",
-         sres.family_points, max_entries, sweep_mrefs);
+         sweep.family_points, max_entries, result.sweep_mrefs_per_sec);
 
-  if (!json_path.empty()) {
-    // The wrlstats report: everything above, machine-readable.
-    StatsRegistry registry;
-    sys->RegisterStats(registry, "traced.");
-    measured->RegisterStats(registry, "measured.");
-    engine.RegisterParserStats(registry, "parser.");
-    engine.RegisterStats(registry, "replay.");
-    log.RegisterStats(registry, "tracelog.");
-    production->RegisterStats(registry, "tlbsim.");
-    sweep->RegisterStats(registry, "sweep.");
-    StatsSnapshot snapshot = registry.Snapshot();
-
-    JsonWriter writer;
-    writer.BeginObject();
-    writer.KV("schema", "wrlstats/1");
-    writer.KV("tool", "tlb_study");
-    writer.KV("scale", scale);
-    writer.KV("clock_hz", 25e6);
-    writer.Key("metrics").BeginObject();
-    writer.KV("eqntott.measured_cycles", static_cast<double>(measured->machine().cycles()));
-    writer.KV("eqntott.measured_utlb_misses", static_cast<double>(measured->UtlbMissCount()));
-    writer.KV("eqntott.simulated_utlb_misses",
-              static_cast<double>(production->stats().utlb_misses));
-    writer.KV("eqntott.parser_errors",
-              static_cast<double>(engine.parser_stats().validation_errors));
-    writer.KV("traced_machine_runs", 1.0);
-    writer.KV("replay.configs", static_cast<double>(outcomes.size()));
-    writer.KV("replay.refs", refs);
-    writer.KV("replay.mrefs_per_sec", replay_mrefs);
-    writer.KV("live.mrefs_per_sec", live_mrefs);
-    writer.KV("replay.speedup_vs_live", speedup);
-    writer.KV("tracelog.words", static_cast<double>(log.words()));
-    writer.KV("tracelog.stored_bytes", static_cast<double>(log.stored_bytes()));
-    writer.KV("tracelog.compression_ratio", log.CompressionRatio());
-    writer.KV("sweep.family_points", static_cast<double>(sres.family_points));
-    writer.KV("sweep.tlb_max_entries", static_cast<double>(max_entries));
-    if (sweep_mrefs > 0) {
-      writer.KV("sweep.mrefs_per_sec", sweep_mrefs);
-    }
-    if (check && check_wall_us > 0 && sweep_wall_us > 0) {
-      writer.KV("sweep.speedup_vs_replay",
-                static_cast<double>(check_wall_us) / static_cast<double>(sweep_wall_us));
-    }
-    for (unsigned entries : sizes) {
-      if (entries == 0 || entries > sres.tlb_lru_misses.size()) {
-        continue;
-      }
-      writer.KV("eqntott.sweep.entries_" + std::to_string(entries) + ".misses",
-                static_cast<double>(sres.tlb_lru_misses[entries - 1]));
-    }
-    for (size_t i = 0; i < sres.icache.size(); ++i) {
-      const std::string kb = std::to_string(sres.icache[i].size_bytes / 1024);
-      writer.KV("eqntott.sweep.icache_" + kb + "k.misses",
-                static_cast<double>(sres.icache[i].misses));
-      writer.KV("eqntott.sweep.dcache_" + kb + "k.misses",
-                static_cast<double>(sres.dcache[i].misses));
-    }
-    writer.EndObject();
-    writer.Key("counters");
-    snapshot.WriteJson(writer);
-    writer.Key("traceEvents").BeginArray();
-    WriteChromeTraceEvents(writer, events.events());
-    writer.EndArray();
-    writer.EndObject();
-
-    std::string json = writer.TakeString();
-    std::FILE* file = std::fopen(json_path.c_str(), "w");
-    if (file == nullptr ||
-        std::fwrite(json.data(), 1, json.size(), file) != json.size() ||
-        std::fclose(file) != 0) {
-      fprintf(stderr, "cannot write report to %s\n", json_path.c_str());
-      return 1;
-    }
-    fprintf(stderr, "wrote run report to %s\n", json_path.c_str());
+  if (HasFlag(argc, argv, "--check") && !CheckFamilies(w, options, sweep)) {
+    return 1;
   }
+  MaybeWriteRunReport(argc, argv, "tlb_study", scale, {result}, &events);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return Run(argc, argv);
+  } catch (const Error& e) {
+    fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 }

@@ -626,7 +626,7 @@ ArchivedExperiment ParseHarnessArchiveMeta(const ArchiveMeta& meta) {
   double scale = 1.0;
   for (const auto& [key, value] : options.archive_meta) {
     if (key == "scale") {
-      scale = MetaReal(key, value, 0, kMaxArchiveScale);
+      scale = MetaReal(key, value, 0, kMaxWorkloadScale);
       break;
     }
   }

@@ -242,9 +242,6 @@ PredictorConfig PrimaryConfig(const ExperimentOptions& options, const SystemInst
 // take the first value of a key, so the harness's own identity wins.
 ArchiveMeta HarnessArchiveMeta(const WorkloadSpec& workload, const ExperimentOptions& options);
 
-// Upper bound on a paper workload's scale in archive metadata.
-constexpr double kMaxArchiveScale = 16.0;
-
 // An archive's identity parsed back (ParseHarnessArchiveMeta).
 struct ArchivedExperiment {
   // PaperWorkload(name, scale), scale from the caller key "scale" (1 when
@@ -260,7 +257,7 @@ struct ArchivedExperiment {
 // value must parse as a whole string, be finite, and lie in the range an
 // experiment can run with (clock_period and trace_buf_bytes within the
 // kernel's limits, dilation >= 1 with a dilated clock that fits 32 bits,
-// scale in [0, kMaxArchiveScale]).  Anything else throws wrl::Error naming
+// scale in [0, kMaxWorkloadScale]).  Anything else throws wrl::Error naming
 // the key and the value.
 ArchivedExperiment ParseHarnessArchiveMeta(const ArchiveMeta& meta);
 

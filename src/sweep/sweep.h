@@ -27,7 +27,7 @@
 //
 // The SweepEngine is a RefBatchSink, so it rides everything the analysis
 // side already has: the experiment's analysis tee (live or fed from a
-// capture), ReplayEngine fan-outs, and the pipelined transport.  It mirrors TraceDrivenSimulator's reference
+// capture), ReplayEngine configs, and the pipelined transport.  It mirrors TraceDrivenSimulator's reference
 // ordering exactly — one TlbSimulator (the family shares the TLB
 // configuration; geometry changes cannot perturb it) synthesizes the
 // UTLB-handler references into the cache stream *before* the triggering

@@ -11,7 +11,9 @@ bool ChunkRing::Push(const uint32_t* words, size_t count) {
   WRL_CHECK_MSG(!closed_, "ChunkRing::Push after Close");
   if (size_ == slots_.size() && !cancelled_) {
     ++producer_stalls_;
+    producer_waiting_ = true;
     not_full_.wait(lock, [this] { return size_ < slots_.size() || cancelled_; });
+    producer_waiting_ = false;
   }
   if (cancelled_) {
     return false;
@@ -75,6 +77,11 @@ bool ChunkRing::cancelled() const {
 bool ChunkRing::consumer_waiting() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return consumer_waiting_ && size_ == 0;  // A push is about to wake it.
+}
+
+bool ChunkRing::producer_waiting() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return producer_waiting_ && size_ == slots_.size();  // A pop is about to wake it.
 }
 
 void ChunkRing::RegisterStats(StatsRegistry& registry, const std::string& prefix) {

@@ -86,6 +86,10 @@ class ChunkRing {
   // taken every chunk pushed so far.  Tests wait on this instead of
   // sleeping to make the consumer starve.
   bool consumer_waiting() const;
+  // True while the producer is blocked in Push on a full ring (the mirror
+  // of consumer_waiting): tests wait on this instead of sleeping to make
+  // the producer stall.
+  bool producer_waiting() const;
 
   // ---- Observability (quiesced ring) ----
   uint64_t chunks() const { return chunks_; }
@@ -111,6 +115,7 @@ class ChunkRing {
   bool closed_ = false;
   bool cancelled_ = false;
   bool consumer_waiting_ = false;
+  bool producer_waiting_ = false;
 
   // Transport accounting (mutated under mutex_; read once quiesced).
   uint64_t chunks_ = 0;

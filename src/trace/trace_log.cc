@@ -27,13 +27,4 @@ double TraceLog::CompressionRatio() const {
   return stored == 0 ? 1.0 : static_cast<double>(raw_bytes()) / static_cast<double>(stored);
 }
 
-void TraceLog::RegisterStats(StatsRegistry& registry, const std::string& prefix) {
-  registry.AddCounter(prefix + "words", &words_);
-  registry.AddGauge(prefix + "chunks", [this] { return static_cast<double>(chunks()); });
-  registry.AddGauge(prefix + "raw_bytes", [this] { return static_cast<double>(raw_bytes()); });
-  registry.AddGauge(prefix + "stored_bytes",
-                    [this] { return static_cast<double>(stored_bytes()); });
-  registry.AddGauge(prefix + "compression_ratio", [this] { return CompressionRatio(); });
-}
-
 }  // namespace wrl

@@ -8,8 +8,8 @@
 // codec (trace/chunk_codec.h): per-bucket delta + zigzag + LEB128 varints.
 // Typical system traces pack to roughly half their raw size — directly
 // addressing the paper's §4.3 concern that buffer capacity bounds
-// continuous tracing — and the achieved ratio is exported as a wrlstats
-// metric rather than assumed.  Packing is lossless: Replay() reproduces the
+// continuous tracing — and the achieved ratio is measured
+// (CompressionRatio) rather than assumed.  Packing is lossless: Replay() reproduces the
 // captured words bit-for-bit in the captured chunking.
 //
 // Chunks are *independently* coded (predictors reset per chunk, start
@@ -21,10 +21,8 @@
 #define WRLTRACE_TRACE_TRACE_LOG_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
-#include "stats/stats.h"
 #include "trace/chunk_source.h"
 
 namespace wrl {
@@ -50,10 +48,6 @@ class TraceLog : public TraceChunkSource {
   uint64_t stored_bytes() const { return bytes_.size(); }
   // raw_bytes / stored_bytes; 1.0 for an empty log.
   double CompressionRatio() const;
-
-  // Binds capture-side counters and the compression ratio into `registry`;
-  // the log must outlive snapshots of the registry.
-  void RegisterStats(StatsRegistry& registry, const std::string& prefix = "tracelog.");
 
  private:
   std::vector<uint8_t> bytes_;         // Packed stream.

@@ -1,6 +1,7 @@
 #include "workloads/workloads.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "support/error.h"
 #include "support/rng.h"
@@ -1257,6 +1258,10 @@ tc_done:
 }  // namespace
 
 std::vector<WorkloadSpec> PaperWorkloads(double scale) {
+  // Every size below is an integer cast of a scaled constant.
+  if (!(std::isfinite(scale) && scale >= 0 && scale <= kMaxWorkloadScale)) {
+    throw Error(StrFormat("workload scale %g is outside [0, %g]", scale, kMaxWorkloadScale));
+  }
   return {Sed(scale),    Egrep(scale),   Yacc(scale),  Gcc(scale),
           Compress(scale), Espresso(scale), Lisp(scale), Eqntott(scale),
           Fpppp(scale),  Doduc(scale),   Liv(scale),   Tomcatv(scale)};

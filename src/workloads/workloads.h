@@ -35,8 +35,12 @@ struct WorkloadSpec {
   bool fp_intensive = false;  // Table 1 groups the bottom four as FP.
 };
 
+// Upper bound on a paper workload's scale.
+constexpr double kMaxWorkloadScale = 16.0;
+
 // Scale 1.0 reproduces the default sizes above; smaller values shrink the
-// workloads proportionally (used by quick tests).
+// workloads proportionally (used by quick tests).  Throws wrl::Error
+// naming the scale unless it is finite and in [0, kMaxWorkloadScale].
 std::vector<WorkloadSpec> PaperWorkloads(double scale = 1.0);
 
 // A single workload by name (throws wrl::Error if unknown).

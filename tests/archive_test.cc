@@ -602,8 +602,9 @@ TEST(ArchiveExperiment, TeeReplaysToTheLiveAnalysisCountersBitForBit) {
   }
   simulator.Finish();
 
+  TraceParserStats parser_stats = engine.parser_stats();
   StatsRegistry registry;
-  engine.RegisterParserStats(registry, "parser.");
+  RegisterParserStats(registry, "parser.", &parser_stats);
   simulator.RegisterStats(registry, "predicted.");
   StatsSnapshot replayed = registry.Snapshot();
 

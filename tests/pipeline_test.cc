@@ -56,6 +56,20 @@ table:  .space 384
 
 // ---- ChunkRing transport ----
 
+// Spins until `ready()` holds.  Gives up after 30 s, so a ring that never
+// reaches the awaited state fails the test instead of hanging it.
+template <typename Ready>
+bool Await(Ready ready) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!ready()) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      return false;
+    }
+    std::this_thread::yield();
+  }
+  return true;
+}
+
 TEST(ChunkRing, PreservesOrderUnderBackpressure) {
   constexpr size_t kChunks = 64;
   constexpr size_t kWordsPerChunk = 17;
@@ -63,10 +77,19 @@ TEST(ChunkRing, PreservesOrderUnderBackpressure) {
   std::vector<uint32_t> first_words;
   std::thread consumer([&] {
     std::vector<uint32_t> chunk;
-    while (ring.Pop(chunk)) {
-      // An artificially slow consumer: the tiny ring must fill and the
-      // producer must stall rather than drop or reorder chunks.
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    for (size_t popped = 0;; ++popped) {
+      // A consumer that pops only once the producer is blocked on the full
+      // tiny ring, for every chunk the producer still has to push: each
+      // such push must stall rather than drop or reorder chunks.
+      if (popped + ring.capacity() < kChunks &&
+          !Await([&] { return ring.producer_waiting(); })) {
+        ADD_FAILURE() << "the producer never blocked on the full ring";
+        ring.Cancel();
+        return;
+      }
+      if (!ring.Pop(chunk)) {
+        return;
+      }
       ASSERT_EQ(chunk.size(), kWordsPerChunk);
       first_words.push_back(chunk[0]);
     }
@@ -84,7 +107,8 @@ TEST(ChunkRing, PreservesOrderUnderBackpressure) {
   }
   EXPECT_EQ(ring.chunks(), kChunks);
   EXPECT_EQ(ring.words(), kChunks * kWordsPerChunk);
-  EXPECT_GT(ring.producer_stalls(), 0u);
+  // Every push past the ring's capacity stalled.
+  EXPECT_EQ(ring.producer_stalls(), kChunks - ring.capacity());
   EXPECT_LE(ring.max_occupancy(), ring.capacity());
   EXPECT_EQ(ring.occupancy_hist().count(), kChunks);
 }
@@ -126,13 +150,15 @@ TEST(ChunkRing, CancelUnblocksBlockedProducer) {
   uint32_t word = 1;
   ASSERT_TRUE(ring.Push(&word, 1));  // Fills the ring.
   std::thread canceller([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    // Cancel only once the Push below is blocked on the full ring.
+    EXPECT_TRUE(Await([&] { return ring.producer_waiting(); }));
     ring.Cancel();
   });
   // Blocks on the full ring until Cancel, then reports the drop.
   EXPECT_FALSE(ring.Push(&word, 1));
   canceller.join();
   EXPECT_TRUE(ring.cancelled());
+  EXPECT_EQ(ring.producer_stalls(), 1u);
   std::vector<uint32_t> out;
   EXPECT_FALSE(ring.Pop(out));  // Cancelled rings drop queued chunks too.
 }
@@ -197,12 +223,6 @@ TEST(ReplayEngine, MaterializesExactlyOnce) {
   EXPECT_EQ(engine.refs().size(), expected);
   // The single exact reserve: the dense stream never grew by reallocation.
   EXPECT_EQ(engine.refs().capacity(), engine.refs().size());
-
-  StatsRegistry registry;
-  engine.RegisterStats(registry);
-  StatsSnapshot snapshot = registry.Snapshot();
-  EXPECT_EQ(snapshot.CounterValue("replay.materialized_bytes"),
-            engine.refs().size() * sizeof(TraceRef));
 }
 
 // ---- Experiment-level byte identity: pipelined vs synchronous ----

@@ -1,8 +1,7 @@
 // The capture-once / replay-many pipeline's contract: a TraceLog stores the
 // drained trace words losslessly, and a batched replay of the capture
 // produces bit-identical parser stats, Prediction, and TLB miss counts to
-// the live per-ref path — with batching on or off, serial or on a worker
-// pool.
+// the live per-ref path — with batching on or off.
 #include <memory>
 #include <vector>
 
@@ -197,37 +196,6 @@ TEST(ReplayEngine, OddBatchSizesDeliverIdenticalResults) {
         engine.Run({{"tlb", [] { return std::make_unique<TlbSimulator>(); }}}, options);
     auto* tlb = static_cast<TlbSimulator*>(outcomes[0].sink.get());
     EXPECT_EQ(tlb->stats().utlb_misses, live.tlb.utlb_misses);
-  }
-}
-
-TEST(ReplayEngine, WorkerPoolIsDeterministic) {
-  BareBuild build = BuildBareTraced(kBody);
-  BareTraceRun run = RunBareTraced(build);
-
-  TraceLog log;
-  log.Append(run.trace_words.data(), run.trace_words.size());
-  ReplaySource source;
-  source.log = &log;
-  source.kernel_table = &build.table;
-  ReplayEngine engine(std::move(source));
-
-  // Six configs with distinct wired sizes, serial vs pooled.
-  std::vector<ReplayEngine::Config> configs;
-  for (unsigned wired : {1u, 2u, 4u, 8u, 16u, 32u}) {
-    configs.push_back({"wired" + std::to_string(wired),
-                       [wired] { return std::make_unique<TlbSimulator>(wired); }});
-  }
-  ReplayEngine::Options serial;
-  ReplayEngine::Options pooled;
-  pooled.jobs = 4;
-  std::vector<ReplayEngine::Outcome> a = engine.Run(configs, serial);
-  std::vector<ReplayEngine::Outcome> b = engine.Run(configs, pooled);
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].name, b[i].name) << i;
-    EXPECT_EQ(static_cast<TlbSimulator*>(a[i].sink.get())->stats().utlb_misses,
-              static_cast<TlbSimulator*>(b[i].sink.get())->stats().utlb_misses)
-        << i;
   }
 }
 

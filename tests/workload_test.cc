@@ -4,11 +4,13 @@
 // measured-vs-predicted experiment runs for a sample of workloads.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
 #include <string>
 
 #include "harness/experiment.h"
 #include "kernel/system_build.h"
+#include "support/error.h"
 #include "trace/trace_archive.h"
 #include "workloads/workloads.h"
 
@@ -69,6 +71,19 @@ INSTANTIATE_TEST_SUITE_P(AllTwelve, WorkloadRuns,
                          [](const ::testing::TestParamInfo<const char*>& info) {
                            return std::string(info.param);
                          });
+
+// Every workload size is an integer cast of a scaled constant, so a scale
+// that is not finite or not in [0, kMaxWorkloadScale] is refused before
+// any cast, by PaperWorkload as by PaperWorkloads.
+TEST(WorkloadScale, OutOfRangeScalesAreRejected) {
+  for (double scale : {std::nan(""), HUGE_VAL, -HUGE_VAL, -1.0, 16.0001, 1e12}) {
+    SCOPED_TRACE(scale);
+    EXPECT_THROW(PaperWorkloads(scale), Error);
+    EXPECT_THROW(PaperWorkload("sed", scale), Error);
+  }
+  EXPECT_EQ(PaperWorkloads(0).size(), 12u);
+  EXPECT_EQ(PaperWorkloads(kMaxWorkloadScale).size(), 12u);
+}
 
 // The disk image, written in place into a fresh (lazily zeroed) disk, must be
 // byte-identical over all 16 MB to the image the flat filesystem has always

@@ -3,10 +3,8 @@
 
 One entry point for every JSON document the CI smoke jobs assert over:
 
-    check_report.py wrlstats         report.json      # tlb_study full report
+    check_report.py tlb_study        report.json [--tlb-entries N]
     check_report.py wrlverify        wrlverify.json
-    check_report.py replay-sweep     BENCH_replay_sweep.json
-    check_report.py sweep-smoke      sweep_smoke.json
     check_report.py wrlprof          wrlprof.json --folded wrlprof.folded
     check_report.py wrltrace-analysis live.json
     check_report.py figure3          figure3.json     # bench_figure3 --json
@@ -27,36 +25,43 @@ def load(path):
         return json.load(f)
 
 
-def check_wrlstats(path, args):
-    """The tlb_study wrlstats/1 report: counters, metrics, timeline."""
+def check_tlb_study(path, args):
+    """The tlb_study run report: one live experiment with the sweep."""
     report = load(path)
     assert report["schema"] == "wrlstats/1", report.get("schema")
     assert report["tool"] == "tlb_study"
-    counters = report["counters"]
-    for key in (
-        "measured.machine.cycles",
-        "measured.kernel.utlb_misses",
-        "measured.machine.memsys.dcache_misses",
-        "parser.refs",
-        "parser.validation_errors",
-        "tlbsim.utlb_misses",
-    ):
-        assert key in counters, f"missing counter: {key}"
-    assert counters["measured.machine.cycles"] > 0
-    assert counters["parser.validation_errors"] == 0
+    (experiment,) = report["experiments"]
+    assert experiment["trace"]["parser_errors"] == 0, experiment["trace"]
+    assert experiment["measured"]["cycles"] > 0
+    sweep = experiment["sweep"]
+    # The exact LRU curve, monotone in capacity, up to the requested bound.
+    curve = sweep["tlb"]["lru_misses"]
+    entries = [point["entries"] for point in curve]
+    assert entries, "empty TLB curve"
+    if args.tlb_entries:
+        want = 1 << (args.tlb_entries.bit_length() - 1)
+        assert entries[-1] == want, (entries, args.tlb_entries)
+    misses = [point["misses"] for point in curve]
+    assert all(a >= b for a, b in zip(misses, misses[1:])), misses
+    # The 8-point I-cache family + the 8-point D-cache family, monotone in
+    # size.
+    assert sweep["family_points"] == 16, sweep["family_points"]
+    for side in ("icache", "dcache"):
+        family = [point["misses"] for point in sweep[side]]
+        assert len(family) == 8, (side, family)
+        assert all(a >= b for a, b in zip(family, family[1:])), (side, family)
+    # The primary simulator and the sweep run the same faithful 64-entry TLB
+    # over the same stream.
+    counters = experiment["counters"]
+    assert counters["predicted.tlbsim.utlb_misses"] == \
+        counters["sweep.tlbsim.utlb_misses"], counters["sweep.tlbsim.utlb_misses"]
     metrics = report["metrics"]
-    assert metrics, "empty metrics object"
-    # The capture-once/replay-many contract: one traced machine run feeds
-    # the whole sweep, and replaying the capture beats the live-analysis
-    # bound by a wide margin.
-    assert metrics["traced_machine_runs"] == 1, metrics["traced_machine_runs"]
-    assert metrics["tracelog.compression_ratio"] > 1.0
-    assert metrics["replay.speedup_vs_live"] >= 5.0, metrics["replay.speedup_vs_live"]
+    assert metrics["sweep.mrefs_per_sec"] > 0, metrics.get("sweep.mrefs_per_sec")
     assert report["traceEvents"], "empty event timeline"
-    print(f"report OK: {len(counters)} counters, "
-          f"{len(report['traceEvents'])} timeline events, "
-          f"{metrics['tracelog.compression_ratio']:.2f}x capture, "
-          f"replay {metrics['replay.speedup_vs_live']:.1f}x live")
+    print(f"tlb_study OK: {entries[-1]}-entry curve, "
+          f"{sweep['family_points']} family points, "
+          f"{int(counters['predicted.tlbsim.utlb_misses'])} faithful misses, "
+          f"sweep {metrics['sweep.mrefs_per_sec']:.0f} Mrefs/s equivalent")
 
 
 def check_wrlverify(path, args):
@@ -72,57 +77,6 @@ def check_wrlverify(path, args):
     print(f"wrlverify OK: {len(targets)} targets, "
           f"{int(totals['verify.blocks'])} blocks, "
           f"{int(totals['verify.mem_ops'])} memory ops, 0 findings")
-
-
-def check_replay_sweep(path, args):
-    """The bench-smoke replay sweep: one traced run, one sweep pass."""
-    metrics = load(path)["metrics"]
-    assert metrics["traced_machine_runs"] == 1, metrics["traced_machine_runs"]
-    # production64 + ONE sweep pass, regardless of how many sizes the curve
-    # covers (the old per-size fan-out would have been 3).
-    assert metrics["replay.configs"] == 2, metrics["replay.configs"]
-    assert metrics["tracelog.compression_ratio"] > 1.0
-    assert metrics["replay.mrefs_per_sec"] > 0
-    assert metrics["sweep.mrefs_per_sec"] > 0
-    assert metrics["sweep.family_points"] == 16, metrics["sweep.family_points"]
-    print(f"replay sweep OK: {metrics['tracelog.compression_ratio']:.2f}x capture, "
-          f"{metrics['replay.mrefs_per_sec']:.1f} Mrefs/s over "
-          f"{int(metrics['replay.configs'])} configs, sweep "
-          f"{metrics['sweep.mrefs_per_sec']:.0f} Mrefs/s equivalent")
-
-
-def check_sweep_smoke(path, args):
-    """The end-to-end sweep report: family points, monotone curves."""
-    report = load(path)
-    assert report["schema"] == "wrlstats/1", report.get("schema")
-    assert report["tool"] == "tlb_study"
-    metrics = report["metrics"]
-    # One traced machine run feeds everything.
-    assert metrics["traced_machine_runs"] == 1, metrics["traced_machine_runs"]
-    # The 8-point I-cache family + the 8-point D-cache family.
-    assert metrics["sweep.family_points"] == 16, metrics["sweep.family_points"]
-    assert metrics["sweep.tlb_max_entries"] == 256
-    assert metrics["sweep.mrefs_per_sec"] > 0
-    # --check ran: the measured sweep-vs-replay speedup is recorded.
-    assert metrics["sweep.speedup_vs_replay"] > 1.0, metrics["sweep.speedup_vs_replay"]
-    # The exact LRU curve is monotone in capacity.
-    curve = [metrics[f"eqntott.sweep.entries_{n}.misses"]
-             for n in (8, 16, 32, 64, 128, 256)]
-    assert all(a >= b for a, b in zip(curve, curve[1:])), curve
-    # Both 8-point cache families, monotone in size.
-    for side in ("icache", "dcache"):
-        family = [metrics[f"eqntott.sweep.{side}_{kb}k.misses"]
-                  for kb in (4, 8, 16, 32, 64, 128, 256, 512)]
-        assert all(a >= b for a, b in zip(family, family[1:])), family
-    counters = report["counters"]
-    assert counters["sweep.refs"] > 0
-    assert counters["sweep.synthesized_refs"] > 0
-    assert counters["sweep.tlbsim.utlb_misses"] == \
-        metrics["eqntott.simulated_utlb_misses"]
-    print(f"sweep smoke OK: {int(metrics['sweep.family_points'])} family "
-          f"points + {int(metrics['sweep.tlb_max_entries'])}-entry curve, "
-          f"{metrics['sweep.speedup_vs_replay']:.1f}x vs dedicated replays, "
-          f"{metrics['sweep.mrefs_per_sec']:.0f} Mrefs/s equivalent")
 
 
 def check_wrlprof(path, args):
@@ -193,10 +147,8 @@ def check_figure3(path, args):
 
 
 CHECKS = {
-    "wrlstats": check_wrlstats,
+    "tlb_study": check_tlb_study,
     "wrlverify": check_wrlverify,
-    "replay-sweep": check_replay_sweep,
-    "sweep-smoke": check_sweep_smoke,
     "wrlprof": check_wrlprof,
     "wrltrace-analysis": check_wrltrace_analysis,
     "figure3": check_figure3,
@@ -209,6 +161,8 @@ def main(argv):
     parser.add_argument("kind", choices=sorted(CHECKS))
     parser.add_argument("path")
     parser.add_argument("--folded", help="folded-stacks file (wrlprof only)")
+    parser.add_argument("--tlb-entries", type=int,
+                        help="the TLB curve bound tlb_study was asked for (tlb_study only)")
     args = parser.parse_args(argv)
     try:
         CHECKS[args.kind](args.path, args)

@@ -38,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "harness/experiment.h"
 #include "kernel/system_build.h"
 #include "prof/prof.h"
 #include "support/error.h"
@@ -168,7 +169,7 @@ void WriteJsonReport(const std::string& path, const CliOptions& cli, const Recon
   writer.KV("schema", "wrlprof/1");
   writer.KV("tool", "wrlprof");
   writer.KV("workload", cli.workload);
-  writer.KV("personality", cli.personality == Personality::kUltrix ? "ultrix" : "mach");
+  writer.KV("personality", PersonalityName(cli.personality));
   writer.KV("scale", cli.scale);
   writer.KV("mode", "live");  // The only mode; kept so the wrlprof/1 schema is unchanged.
 
@@ -215,15 +216,7 @@ int Run(int argc, char** argv) {
     if (arg == "--workload" && i + 1 < argc) {
       cli.workload = argv[++i];
     } else if (arg == "--personality" && i + 1 < argc) {
-      std::string p = argv[++i];
-      if (p == "ultrix") {
-        cli.personality = Personality::kUltrix;
-      } else if (p == "mach") {
-        cli.personality = Personality::kMach;
-      } else {
-        Usage();
-        return 2;
-      }
+      cli.personality = PersonalityFromName(argv[++i]);
     } else if (arg == "--scale" && i + 1 < argc) {
       cli.scale = std::atof(argv[++i]);
     } else if (arg == "--top" && i + 1 < argc) {
@@ -246,18 +239,10 @@ int Run(int argc, char** argv) {
 
   WorkloadSpec workload = PaperWorkload(cli.workload, cli.scale);
 
-  SystemConfig config;
-  config.personality = cli.personality;
-  config.tracing = true;
-  config.clock_period = 200000 * 15;  // The harness's dilated traced clock.
-  config.program_source = workload.source;
-  config.program_name = workload.name;
-  config.files = workload.files;
-  if (cli.personality == Personality::kMach) {
-    config.policy = PagePolicy::kScrambled;
-    config.policy_mult = 9;
-  }
-  std::unique_ptr<SystemInstance> traced = BuildSystem(config);
+  // The traced half of an experiment; the measured half is not needed.
+  ExperimentOptions options;
+  options.personality = cli.personality;
+  std::unique_ptr<SystemInstance> traced = BuildSystem(MakeConfig(workload, options, true));
 
   ProfileOptions popts;
   popts.window_refs = cli.window_refs;
@@ -303,7 +288,7 @@ int Run(int argc, char** argv) {
 
   if (!cli.quiet) {
     std::printf("wrlprof: %s (%s, scale %g, live analysis)\n", workload.name.c_str(),
-                cli.personality == Personality::kUltrix ? "ultrix" : "mach", cli.scale);
+                PersonalityName(cli.personality), cli.scale);
     PrintTables(profiler, profile, cli.top);
   }
 

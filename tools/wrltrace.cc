@@ -189,10 +189,6 @@ int CmdRecord(int argc, char** argv) {
     Usage();
     return 2;
   }
-  if (!(scale >= 0 && scale <= kMaxArchiveScale)) {
-    std::fprintf(stderr, "wrltrace: --scale must lie in [0, %g]\n", kMaxArchiveScale);
-    return 2;
-  }
 
   WorkloadSpec workload = PaperWorkload(workload_name, scale);
   ExperimentOptions options;
