@@ -13,7 +13,7 @@
 // fit through the origin over the points that did switch, of which it
 // needs at least two.
 //
-// --jobs N (or WRL_JOBS) runs the five systems on a worker pool
+// --jobs N runs the five systems on a worker pool
 // (ParallelFor); rows, metrics, and the extrapolation are printed in size
 // order either way.
 #include <cstdio>
@@ -54,11 +54,15 @@ SweepPoint RunPoint(const WorkloadSpec& w, uint32_t kb) {
   return point;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  double scale = BenchScale(argc, argv);
-  unsigned jobs = BenchJobs(argc, argv);
+int Run(ArgList args) {
+  double scale = kBenchScale;
+  unsigned jobs = 1;
+  std::string json;
+  Flags flags;
+  flags.Real("scale", &scale);
+  flags.Unsigned("jobs", &jobs);
+  flags.String("json", &json, "PATH");
+  flags.Parse(args);
   WorkloadSpec w = PaperWorkload("compress", scale);
   const std::vector<uint32_t> sizes = {192u, 384u, 768u, 1536u};
   printf("=== In-kernel buffer sizing vs analysis-mode switches ===\n");
@@ -126,6 +130,10 @@ int main(int argc, char** argv) {
            "needs 2\n",
            fit_points);
   }
-  MaybeWriteMetricsReport(argc, argv, "bench_buffer", scale, metrics);
+  MaybeWriteMetricsReport(json, "bench_buffer", scale, metrics);
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return RunMain("bench_buffer", argc, argv, Run); }

@@ -9,8 +9,15 @@
 
 using namespace wrl;
 
-int main(int argc, char** argv) {
-  double scale = BenchScale(argc, argv);
+namespace {
+
+int Run(ArgList args) {
+  double scale = kBenchScale;
+  std::string json;
+  Flags flags;
+  flags.Real("scale", &scale);
+  flags.String("json", &json, "PATH");
+  flags.Parse(args);
   printf("=== Kernel vs user CPI from trace-driven cache simulation ===\n");
   printf("%-10s %9s %9s %7s\n", "workload", "user CPI", "kern CPI", "ratio");
   EventRecorder events;
@@ -31,6 +38,10 @@ int main(int argc, char** argv) {
   }
   printf("\n(the paper's Tunix experiments saw kernel CPI ~ 3x user CPI; the exact\n");
   printf("ratio depends on workload locality and the cache configuration)\n");
-  MaybeWriteRunReport(argc, argv, "bench_cpi", scale, results, &events);
+  MaybeWriteRunReport(json, "bench_cpi", scale, results, &events);
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return RunMain("bench_cpi", argc, argv, Run); }

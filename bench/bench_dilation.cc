@@ -9,8 +9,15 @@
 
 using namespace wrl;
 
-int main(int argc, char** argv) {
-  double scale = BenchScale(argc, argv);
+namespace {
+
+int Run(ArgList args) {
+  double scale = kBenchScale;
+  std::string json;
+  Flags flags;
+  flags.Real("scale", &scale);
+  flags.String("json", &json, "PATH");
+  flags.Parse(args);
   printf("=== Time dilation of the traced system (scale %.2f) ===\n", scale);
   printf("%-10s %14s %14s %9s\n", "workload", "untraced cyc", "traced cyc", "dilation");
   const char* names[] = {"sed", "egrep", "espresso", "lisp", "fpppp", "liv"};
@@ -63,6 +70,10 @@ int main(int argc, char** argv) {
   printf("scaled to 1/15th rate to compensate, as in 4.1)\n");
   events.SetCycleSource(nullptr);
   metrics["dilation_mean"] = sum / count;
-  MaybeWriteMetricsReport(argc, argv, "bench_dilation", scale, metrics, &events);
+  MaybeWriteMetricsReport(json, "bench_dilation", scale, metrics, &events);
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return RunMain("bench_dilation", argc, argv, Run); }

@@ -9,7 +9,13 @@
 
 using namespace wrl;
 
-int main(int argc, char** argv) {
+namespace {
+
+int Run(ArgList args) {
+  std::string json;
+  Flags flags;
+  flags.String("json", &json, "PATH");
+  flags.Parse(args);
   const char* before = R"(
         .globl fopen
 fopen:  addiu $sp, $sp, -24
@@ -44,6 +50,10 @@ _findiop:
   metrics["fopen.original_text_words"] = result.original_text_words;
   metrics["fopen.instrumented_text_words"] = result.instrumented_text_words;
   metrics["fopen.text_growth"] = result.TextGrowthFactor();
-  MaybeWriteMetricsReport(argc, argv, "bench_figure2", 0, metrics);
+  MaybeWriteMetricsReport(json, "bench_figure2", 0, metrics);
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return RunMain("bench_figure2", argc, argv, Run); }

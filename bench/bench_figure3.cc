@@ -52,14 +52,19 @@ std::vector<ReplayVariant> SweepVariants() {
   return variants;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  double scale = BenchScale(argc, argv);
-  unsigned jobs = BenchJobs(argc, argv);
+int Run(ArgList args) {
+  double scale = kBenchScale;
+  unsigned jobs = 1;
+  std::string json;
+  ExperimentOptions base;
+  Flags flags;
+  flags.Real("scale", &scale);
+  flags.Unsigned("jobs", &jobs);
+  flags.Switch("progress", &base.progress);
+  flags.String("json", &json, "PATH");
+  flags.Parse(args);
   printf("=== Figure 3: Error in predicted execution times for Ultrix (scale %.2f) ===\n", scale);
   EventRecorder events;
-  ExperimentOptions base;
   base.replay_variants = SweepVariants();
   // Absorb the geometry-only variants into the single-pass sweep engine;
   // slowmem and wired16 still replay (their penalties / wiring are not
@@ -94,9 +99,9 @@ int main(int argc, char** argv) {
   double sweep_mrefs_sum = 0;
   unsigned sweep_runs = 0;
   for (const ExperimentResult& r : results) {
-    printf("%-10s %10.4f", r.workload.c_str(), r.PredictedSeconds(25e6));
+    printf("%-10s %10.4f", r.workload.c_str(), r.PredictedSeconds());
     for (const ReplayVariantResult& v : r.replays) {
-      printf(" %9.4f%c", static_cast<double>(v.prediction.PredictedCycles()) / 25e6,
+      printf(" %9.4f%c", static_cast<double>(v.prediction.PredictedCycles()) / kClockHz,
              v.swept ? '*' : ' ');
     }
     printf("\n");
@@ -114,6 +119,10 @@ int main(int argc, char** argv) {
     printf("sweep pass: %.0f Mrefs/s equivalent (mean; family points x refs / pass wall time)\n",
            sweep_mrefs_sum / static_cast<double>(sweep_runs));
   }
-  MaybeWriteRunReport(argc, argv, "bench_figure3", scale, results, &events);
+  MaybeWriteRunReport(json, "bench_figure3", scale, results, &events);
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return RunMain("bench_figure3", argc, argv, Run); }

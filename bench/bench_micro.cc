@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the hot primitives of the tracing
 // toolchain: assembly, instrumentation, trace parsing, and the simulators.
 //
-// Like every other bench, --json=PATH (or WRL_JSON) writes a wrlstats/1
+// Like every other bench, --json PATH writes a wrlstats/1
 // metrics report: micro.<benchmark>.real_ns / .cpu_ns per benchmark, plus
 // one metric per counter the bench reports (.items_per_second for
 // throughput, .minflt_per_build for BM_BuildSystem) — the BENCH_*.json
@@ -513,57 +513,51 @@ class CapturingReporter : public benchmark::ConsoleReporter {
   std::vector<Run> runs_;
 };
 
-}  // namespace
-}  // namespace wrl
-
-int main(int argc, char** argv) {
-  std::string json_path = wrl::BenchJsonPath(argc, argv);
-  // Strip the wrl-side flags before google-benchmark sees (and rejects)
-  // them; everything else passes through to benchmark::Initialize.
-  std::vector<char*> args;
-  args.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--json" && i + 1 < argc) {
-      ++i;
-    } else if (arg.rfind("--json=", 0) != 0) {
-      args.push_back(argv[i]);
-    }
+// Reads --json and hands every other argument, in order, to
+// google-benchmark, which rejects what it does not know.
+int Run(ArgList args) {
+  std::string json;
+  std::vector<std::string> rest;
+  Flags flags;
+  flags.String("json", &json, "PATH");
+  flags.PassThrough(&rest);
+  flags.Parse(args);
+  std::string program = "bench_micro";
+  std::vector<char*> bargv = {program.data()};
+  for (std::string& arg : rest) {
+    bargv.push_back(arg.data());
   }
-  int bargc = static_cast<int>(args.size());
-  benchmark::Initialize(&bargc, args.data());
-  if (benchmark::ReportUnrecognizedArguments(bargc, args.data())) {
-    return 1;
+  int bargc = static_cast<int>(bargv.size());
+  benchmark::Initialize(&bargc, bargv.data());
+  if (benchmark::ReportUnrecognizedArguments(bargc, bargv.data())) {
+    return 2;
   }
-  wrl::CapturingReporter reporter;
+  CapturingReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
 
-  if (!json_path.empty()) {
-    std::map<std::string, double> metrics;
-    for (const auto& run : reporter.runs()) {
-      if (run.error_occurred) {
-        continue;
-      }
-      std::string name = run.benchmark_name();
-      for (char& c : name) {
-        if (c == '/' || c == ':') {
-          c = '_';
-        }
-      }
-      metrics["micro." + name + ".real_ns"] = run.GetAdjustedRealTime();
-      metrics["micro." + name + ".cpu_ns"] = run.GetAdjustedCPUTime();
-      for (const auto& [counter, value] : run.counters) {
-        metrics["micro." + name + "." + counter] = value;
+  std::map<std::string, double> metrics;
+  for (const auto& run : reporter.runs()) {
+    if (run.error_occurred) {
+      continue;
+    }
+    std::string name = run.benchmark_name();
+    for (char& c : name) {
+      if (c == '/' || c == ':') {
+        c = '_';
       }
     }
-    try {
-      wrl::WriteMetricsReport(json_path, "bench_micro", metrics, {});
-    } catch (const wrl::Error& e) {
-      fprintf(stderr, "error: %s\n", e.what());
-      return 1;
+    metrics["micro." + name + ".real_ns"] = run.GetAdjustedRealTime();
+    metrics["micro." + name + ".cpu_ns"] = run.GetAdjustedCPUTime();
+    for (const auto& [counter, value] : run.counters) {
+      metrics["micro." + name + "." + counter] = value;
     }
-    fprintf(stderr, "wrote metrics report to %s\n", json_path.c_str());
   }
+  MaybeWriteMetricsReport(json, "bench_micro", 0, metrics);
   return 0;
 }
+
+}  // namespace
+}  // namespace wrl
+
+int main(int argc, char** argv) { return wrl::RunMain("bench_micro", argc, argv, wrl::Run); }

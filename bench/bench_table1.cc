@@ -2,7 +2,7 @@
 // dynamic behavior of our reconstructions (instruction counts and simulated
 // execution times on the uninstrumented Ultrix system).
 //
-// --jobs N (or WRL_JOBS) runs the workloads on a worker pool (ParallelFor);
+// --jobs N runs the workloads on a worker pool (ParallelFor);
 // rows, metrics, and the timeline are emitted in workload order either way
 // (per-worker event recorders are absorbed deterministically).
 #include <algorithm>
@@ -35,15 +35,19 @@ Row RunWorkload(const WorkloadSpec& w, EventRecorder* events) {
   events->SetCycleSource(nullptr);
   row.halted = r.halted;
   row.user_instructions = sys->machine().user_instructions();
-  row.seconds = static_cast<double>(sys->ProcessCycles(1)) / 25e6;
+  row.seconds = static_cast<double>(sys->ProcessCycles(1)) / kClockHz;
   return row;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  double scale = BenchScale(argc, argv);
-  unsigned jobs = BenchJobs(argc, argv);
+int Run(ArgList args) {
+  double scale = kBenchScale;
+  unsigned jobs = 1;
+  std::string json;
+  Flags flags;
+  flags.Real("scale", &scale);
+  flags.Unsigned("jobs", &jobs);
+  flags.String("json", &json, "PATH");
+  flags.Parse(args);
   printf("=== Table 1: Experimental workloads (scale %.2f) ===\n", scale);
   printf("%-10s %-12s %12s %9s  %s\n", "workload", "class", "user instrs", "seconds",
          "description");
@@ -81,6 +85,10 @@ int main(int argc, char** argv) {
     metrics[w.name + ".user_instructions"] = static_cast<double>(row.user_instructions);
     metrics[w.name + ".seconds"] = row.seconds;
   }
-  MaybeWriteMetricsReport(argc, argv, "bench_table1", scale, metrics, &events);
+  MaybeWriteMetricsReport(json, "bench_table1", scale, metrics, &events);
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return RunMain("bench_table1", argc, argv, Run); }

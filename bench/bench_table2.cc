@@ -8,14 +8,21 @@
 
 using namespace wrl;
 
-int main(int argc, char** argv) {
-  double scale = BenchScale(argc, argv);
-  unsigned jobs = BenchJobs(argc, argv);
-  double hz = 25e6;
+namespace {
+
+int Run(ArgList args) {
+  double scale = kBenchScale;
+  unsigned jobs = 1;
+  std::string json;
+  ExperimentOptions base;
+  Flags flags;
+  flags.Real("scale", &scale);
+  flags.Unsigned("jobs", &jobs);
+  flags.Switch("progress", &base.progress);
+  flags.String("json", &json, "PATH");
+  flags.Parse(args);
   printf("=== Table 2: Run Times, measured and predicted, in seconds (scale %.2f) ===\n", scale);
   EventRecorder events;
-  ExperimentOptions base;
-  base.progress = BenchProgress(argc, argv);
   std::vector<ExperimentResult> ultrix =
       RunPersonalitySuite(Personality::kUltrix, scale, &events, jobs, base);
   std::vector<ExperimentResult> mach =
@@ -27,8 +34,8 @@ int main(int argc, char** argv) {
   printf("-----------+-----------------------+----------------------\n");
   for (size_t i = 0; i < ultrix.size(); ++i) {
     printf("%-10s | %10.4f %10.4f | %10.4f %10.4f\n", ultrix[i].workload.c_str(),
-           ultrix[i].MeasuredSeconds(hz), ultrix[i].PredictedSeconds(hz),
-           mach[i].MeasuredSeconds(hz), mach[i].PredictedSeconds(hz));
+           ultrix[i].MeasuredSeconds(), ultrix[i].PredictedSeconds(), mach[i].MeasuredSeconds(),
+           mach[i].PredictedSeconds());
   }
   printf("\n(parser validation errors: ");
   uint64_t errors = 0;
@@ -42,6 +49,10 @@ int main(int argc, char** argv) {
 
   std::vector<ExperimentResult> all = ultrix;
   all.insert(all.end(), mach.begin(), mach.end());
-  MaybeWriteRunReport(argc, argv, "bench_table2", scale, all, &events);
+  MaybeWriteRunReport(json, "bench_table2", scale, all, &events);
   return errors == 0 ? 0 : 1;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return RunMain("bench_table2", argc, argv, Run); }

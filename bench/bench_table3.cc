@@ -10,13 +10,25 @@
 
 using namespace wrl;
 
-int main(int argc, char** argv) {
-  double scale = BenchScale(argc, argv);
-  unsigned jobs = BenchJobs(argc, argv);
+namespace {
+
+int Run(ArgList args) {
+  double scale = kBenchScale;
+  unsigned jobs = 1;
+  std::string json;
+  ExperimentOptions base;
+  Flags flags;
+  flags.Real("scale", &scale);
+  flags.Unsigned("jobs", &jobs);
+  flags.Switch("progress", &base.progress);
+  flags.String("json", &json, "PATH");
+  flags.Parse(args);
   printf("=== Table 3: TLB misses, measured and predicted (scale %.2f) ===\n", scale);
   EventRecorder events;
-  std::vector<ExperimentResult> ultrix = RunPersonalitySuite(Personality::kUltrix, scale, &events, jobs);
-  std::vector<ExperimentResult> mach = RunPersonalitySuite(Personality::kMach, scale, &events, jobs);
+  std::vector<ExperimentResult> ultrix =
+      RunPersonalitySuite(Personality::kUltrix, scale, &events, jobs, base);
+  std::vector<ExperimentResult> mach =
+      RunPersonalitySuite(Personality::kMach, scale, &events, jobs, base);
 
   printf("%-10s | %21s | %21s\n", "", "Mach 3.0", "Ultrix");
   printf("%-10s | %10s %10s | %10s %10s\n", "workload", "predicted", "measured", "predicted",
@@ -51,6 +63,10 @@ int main(int argc, char** argv) {
 
   std::vector<ExperimentResult> all = ultrix;
   all.insert(all.end(), mach.begin(), mach.end());
-  MaybeWriteRunReport(argc, argv, "bench_table3", scale, all, &events);
+  MaybeWriteRunReport(json, "bench_table3", scale, all, &events);
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return RunMain("bench_table3", argc, argv, Run); }

@@ -11,8 +11,15 @@
 
 using namespace wrl;
 
-int main(int argc, char** argv) {
-  double scale = BenchScale(argc, argv);
+namespace {
+
+int Run(ArgList args) {
+  double scale = kBenchScale;
+  std::string json;
+  Flags flags;
+  flags.Real("scale", &scale);
+  flags.String("json", &json, "PATH");
+  flags.Parse(args);
   printf("=== Text expansion: epoxie vs pixie-style instrumentation ===\n");
   printf("%-10s %10s %10s %10s\n", "binary", "words", "epoxie", "pixie");
 
@@ -49,6 +56,10 @@ int main(int argc, char** argv) {
          esum / count, psum / count);
   metrics["workloads.epoxie_growth_mean"] = esum / count;
   metrics["workloads.pixie_growth_mean"] = psum / count;
-  MaybeWriteMetricsReport(argc, argv, "bench_text_expansion", scale, metrics);
+  MaybeWriteMetricsReport(json, "bench_text_expansion", scale, metrics);
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return RunMain("bench_text_expansion", argc, argv, Run); }

@@ -1,11 +1,12 @@
-// Shared plumbing for the experiment benches: scale handling, the --json
-// report emitter, and suite running with loud warning surfacing.
+// Shared plumbing for the experiment benches: the default scale, the
+// --json report emitters, and suite running with loud warning surfacing.
+// Each bench declares its own flags (support/flags.h) and its `main` is one
+// RunMain call.
 #ifndef WRLTRACE_BENCH_BENCH_UTIL_H_
 #define WRLTRACE_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
@@ -13,102 +14,28 @@
 #include "harness/experiment.h"
 #include "harness/report.h"
 #include "stats/events.h"
-#include "support/error.h"
+#include "support/flags.h"
 #include "workloads/workloads.h"
 
 namespace wrl {
 
-// Workload scale for bench runs: --scale=X or WRL_SCALE env, falling back
-// to `fallback` when neither is given.
-inline double BenchScaleOr(int argc, char** argv, double fallback) {
-  double scale = fallback;
-  if (const char* env = std::getenv("WRL_SCALE")) {
-    scale = std::atof(env);
-  }
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--scale=", 0) == 0) {
-      scale = std::atof(arg.c_str() + 8);
-    }
-  }
-  return scale <= 0 ? fallback : scale;
-}
-
-// The standard bench default: 0.2, chosen so the full two-personality suite
-// completes in a few minutes.
-inline double BenchScale(int argc, char** argv) { return BenchScaleOr(argc, argv, 0.2); }
-
-// Worker threads for suite runs and sweeps: --jobs=N, --jobs N, or
-// WRL_JOBS env (default 1 = serial).  ParallelFor hands each worker whole
-// jobs (an experiment's measured and traced runs stay on one worker, one
-// after the other); results and reports are identical either way.
-inline unsigned BenchJobs(int argc, char** argv) {
-  long jobs = 1;
-  if (const char* env = std::getenv("WRL_JOBS")) {
-    jobs = std::atol(env);
-  }
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--jobs=", 0) == 0) {
-      jobs = std::atol(arg.c_str() + 7);
-    } else if (arg == "--jobs" && i + 1 < argc) {
-      jobs = std::atol(argv[i + 1]);
-    }
-  }
-  return jobs < 1 ? 1u : static_cast<unsigned>(jobs);
-}
-
-// WRL_PROGRESS in the environment (any value but "0") turns the suite
-// heartbeat on; the one place the benches read it.
-inline bool ProgressEnv() {
-  const char* env = std::getenv("WRL_PROGRESS");
-  return env != nullptr && std::strcmp(env, "0") != 0;
-}
-
-// Live progress heartbeat: --progress or WRL_PROGRESS env (default off).
-// The heartbeat writes only to stderr, so reports are unaffected.
-inline bool BenchProgress(int argc, char** argv) {
-  bool progress = ProgressEnv();
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--progress") == 0) {
-      progress = true;
-    }
-  }
-  return progress;
-}
-
-// Report destination: --json=PATH, --json PATH, or WRL_JSON env.  Empty
-// when no machine-readable report was requested.
-inline std::string BenchJsonPath(int argc, char** argv) {
-  std::string path;
-  if (const char* env = std::getenv("WRL_JSON")) {
-    path = env;
-  }
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--json=", 0) == 0) {
-      path = arg.substr(7);
-    } else if (arg == "--json" && i + 1 < argc) {
-      path = argv[i + 1];
-    }
-  }
-  return path;
-}
+// The standard bench workload scale (--scale), chosen so the full
+// two-personality suite completes in a few minutes.
+constexpr double kBenchScale = 0.2;
 
 // Runs the full paper-workload suite for one personality through RunSuite.
 // `options` carries any extra experiment options (replay variants, sweep,
-// profile, ...); personality/events/jobs are overwritten from the explicit
-// arguments and WRL_PROGRESS can turn the heartbeat on.
+// profile, the --progress heartbeat, ...); personality/events/jobs are
+// overwritten from the explicit arguments.  A --jobs of 0 or 1 is serial.
 inline std::vector<ExperimentResult> RunPersonalitySuite(Personality personality, double scale,
                                                          EventRecorder* events, unsigned jobs,
                                                          ExperimentOptions options) {
   options.personality = personality;
   options.events = events;
-  options.jobs = jobs;
-  options.progress = options.progress || ProgressEnv();
+  options.jobs = std::max(jobs, 1u);
   const std::vector<WorkloadSpec> workloads = PaperWorkloads(scale);
   fprintf(stderr, "  running %zu workloads (%s) on %u worker(s)...\n", workloads.size(),
-          PersonalityName(personality), jobs);
+          PersonalityName(personality), options.jobs);
   std::vector<ExperimentResult> results = RunSuite(workloads, options);
   for (const ExperimentResult& r : results) {
     PrintResultWarnings(r, stderr);
@@ -116,53 +43,36 @@ inline std::vector<ExperimentResult> RunPersonalitySuite(Personality personality
   return results;
 }
 
-inline std::vector<ExperimentResult> RunPersonalitySuite(Personality personality, double scale,
-                                                         EventRecorder* events = nullptr,
-                                                         unsigned jobs = 1) {
-  return RunPersonalitySuite(personality, scale, events, jobs, ExperimentOptions());
+// The timeline a report carries: `events`' events, or none.
+inline const std::vector<TimelineEvent>& EventsOf(const EventRecorder* events) {
+  static const std::vector<TimelineEvent> kNoEvents;
+  return events != nullptr ? events->events() : kNoEvents;
 }
 
-// Emits the full run report when --json was requested.  Returns true when a
-// report was written.
-inline bool MaybeWriteRunReport(int argc, char** argv, const char* tool, double scale,
+// Emits the full run report to `path` (the --json flag) unless it is empty;
+// throws wrl::Error when the report cannot be written.
+inline void MaybeWriteRunReport(const std::string& path, const char* tool, double scale,
                                 const std::vector<ExperimentResult>& results,
                                 const EventRecorder* events = nullptr) {
-  std::string path = BenchJsonPath(argc, argv);
   if (path.empty()) {
-    return false;
+    return;
   }
   RunReportOptions options;
   options.tool = tool;
   options.scale = scale;
-  static const std::vector<TimelineEvent> kNoEvents;
-  try {
-    WriteRunReport(path, results, events != nullptr ? events->events() : kNoEvents, options);
-  } catch (const Error& e) {
-    fprintf(stderr, "error: %s\n", e.what());
-    std::exit(1);
-  }
+  WriteRunReport(path, results, EventsOf(events), options);
   fprintf(stderr, "wrote run report to %s\n", path.c_str());
-  return true;
 }
 
-// Emits the flat metrics-only report when --json was requested.
-inline bool MaybeWriteMetricsReport(int argc, char** argv, const char* tool, double scale,
+// Emits the flat metrics-only report to `path` unless it is empty.
+inline void MaybeWriteMetricsReport(const std::string& path, const char* tool, double scale,
                                     const std::map<std::string, double>& metrics,
                                     const EventRecorder* events = nullptr) {
-  std::string path = BenchJsonPath(argc, argv);
   if (path.empty()) {
-    return false;
+    return;
   }
-  static const std::vector<TimelineEvent> kNoEvents;
-  try {
-    WriteMetricsReport(path, tool, metrics, events != nullptr ? events->events() : kNoEvents,
-                       scale);
-  } catch (const Error& e) {
-    fprintf(stderr, "error: %s\n", e.what());
-    std::exit(1);
-  }
+  WriteMetricsReport(path, tool, metrics, EventsOf(events), scale);
   fprintf(stderr, "wrote metrics report to %s\n", path.c_str());
-  return true;
 }
 
 }  // namespace wrl

@@ -6,11 +6,15 @@
 #include <cstdio>
 
 #include "harness/bare_runtime.h"
+#include "support/flags.h"
 #include "support/strings.h"
 
 using namespace wrl;
 
-int main() {
+namespace {
+
+int Run(ArgList args) {
+  Flags().Parse(args);
   const char* program = R"(
         .globl main
 main:
@@ -67,3 +71,7 @@ buf:    .space 16
   printf("validation against an independent CPU simulator)\n");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return RunMain("quickstart", argc, argv, Run); }

@@ -4,17 +4,23 @@
 // architecture delivers.
 //
 //   $ ./build/examples/system_trace [ultrix|mach]
+//
+// Exit codes: 0 ok, 1 trace validation errors, 2 usage or runtime error.
 #include <cstdio>
-#include <cstring>
 
+#include "harness/experiment.h"
 #include "kernel/system_build.h"
+#include "support/flags.h"
 #include "trace/parser.h"
 
 using namespace wrl;
 
-int main(int argc, char** argv) {
-  Personality personality =
-      (argc > 1 && std::strcmp(argv[1], "mach") == 0) ? Personality::kMach : Personality::kUltrix;
+namespace {
+
+int Run(ArgList args) {
+  const std::vector<std::string> positionals = Flags("[ultrix|mach]").Parse(args, 0, 1);
+  const Personality personality =
+      positionals.empty() ? Personality::kUltrix : PersonalityFromName(positionals[0]);
 
   SystemConfig config;
   config.personality = personality;
@@ -113,3 +119,7 @@ buf:    .space 24576
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return RunMain("system_trace", argc, argv, Run); }

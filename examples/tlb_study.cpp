@@ -7,7 +7,7 @@
 // (Hill-&-Smith forest simulation) — next to the faithful 64-entry
 // production model the primary simulator runs.
 //
-//   $ ./build/examples/tlb_study [--scale=S] [--sweep-sizes=8,64,...]
+//   $ ./build/examples/tlb_study [--scale S] [--sweep-sizes 8,64,...]
 //                                [--check] [--json report.json]
 //
 // --check runs the experiment again with one dedicated TraceDrivenSimulator
@@ -15,12 +15,14 @@
 // unless the sweep's miss counts are bit-identical at every point — the
 // exactness contract, verified on demand.
 //
+// Exit codes: 0 ok, 1 a --check mismatch, 2 usage or runtime error.
+//
 // With --json the run emits the wrlstats/1 run report bench_figure3 emits:
 // the experiment's counters, the sweep curves and families, and the event
 // timeline (load the file in chrome://tracing or ui.perfetto.dev).
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -37,38 +39,25 @@ constexpr uint32_t kCacheFamilyMax = 512 * 1024;
 constexpr uint32_t kIcacheLine = 16;
 constexpr uint32_t kDcacheLine = 4;
 
-// --sweep-sizes=8,16,... (default: the classic curve).
-std::vector<unsigned> SweepSizes(int argc, char** argv) {
-  std::string spec = "8,16,32,64,128,256";
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--sweep-sizes=", 0) == 0) {
-      spec = arg.substr(14);
-    }
-  }
+// Parses --sweep-sizes: a comma-separated list of TLB capacities, each an
+// unsigned integer greater than 0.
+std::vector<unsigned> ParseSweepSizes(const Flags& flags, const std::string& spec) {
   std::vector<unsigned> sizes;
   size_t pos = 0;
-  while (pos < spec.size()) {
-    size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) {
-      comma = spec.size();
+  while (pos <= spec.size()) {
+    const size_t comma = std::min(spec.find(',', pos), spec.size());
+    const std::string item = spec.substr(pos, comma - pos);
+    try {
+      sizes.push_back(static_cast<unsigned>(ParseUnsigned(item, UINT32_MAX)));
+    } catch (const Error& e) {
+      throw flags.UsageError("--sweep-sizes: " + std::string(e.what()));
     }
-    unsigned value = static_cast<unsigned>(std::atoi(spec.substr(pos, comma - pos).c_str()));
-    if (value > 0) {
-      sizes.push_back(value);
+    if (sizes.back() == 0) {
+      throw flags.UsageError("--sweep-sizes: a TLB of 0 entries has no miss count");
     }
     pos = comma + 1;
   }
   return sizes;
-}
-
-bool HasFlag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) {
-      return true;
-    }
-  }
-  return false;
 }
 
 // One dedicated simulator per family size, with the I- and D-cache both at
@@ -119,11 +108,19 @@ bool CheckFamilies(const WorkloadSpec& w, ExperimentOptions options, const Sweep
   return true;
 }
 
-int Run(int argc, char** argv) {
-  const double scale = BenchScaleOr(argc, argv, 0.15);
-  const std::vector<unsigned> sizes = SweepSizes(argc, argv);
-  const unsigned max_entries =
-      sizes.empty() ? 64u : *std::max_element(sizes.begin(), sizes.end());
+int Run(ArgList args) {
+  double scale = 0.15;
+  std::string sizes_spec = "8,16,32,64,128,256";
+  bool check = false;
+  std::string json;
+  Flags flags;
+  flags.Real("scale", &scale);
+  flags.String("sweep-sizes", &sizes_spec, "N,N,...");
+  flags.Switch("check", &check);
+  flags.String("json", &json, "PATH");
+  flags.Parse(args);
+  const std::vector<unsigned> sizes = ParseSweepSizes(flags, sizes_spec);
+  const unsigned max_entries = *std::max_element(sizes.begin(), sizes.end());
   WorkloadSpec w = PaperWorkload("eqntott", scale);  // The TLB-hostile one.
   printf("running %s once: one traced run, one live analysis with the sweep...\n",
          w.name.c_str());
@@ -163,20 +160,13 @@ int Run(int argc, char** argv) {
          "(%.0f Mrefs/s equivalent)\n",
          sweep.family_points, max_entries, result.sweep_mrefs_per_sec);
 
-  if (HasFlag(argc, argv, "--check") && !CheckFamilies(w, options, sweep)) {
+  if (check && !CheckFamilies(w, options, sweep)) {
     return 1;
   }
-  MaybeWriteRunReport(argc, argv, "tlb_study", scale, {result}, &events);
+  MaybeWriteRunReport(json, "tlb_study", scale, {result}, &events);
   return 0;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  try {
-    return Run(argc, argv);
-  } catch (const Error& e) {
-    fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
-}
+int main(int argc, char** argv) { return RunMain("tlb_study", argc, argv, Run); }

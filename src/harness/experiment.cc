@@ -62,22 +62,25 @@ void CoverFamilyPoint(std::vector<CacheFamilySpec>& families, uint32_t line, uin
   families.push_back({line, size, size});
 }
 
+// How often the progress heartbeat prints.
+constexpr auto kProgressInterval = std::chrono::milliseconds(2000);
+
 // Live progress heartbeat (stderr only, so reports are untouched): a
 // monitor thread prints workloads done, aggregate parse throughput, the
 // suite-so-far sim.mips, and a naive ETA every interval.  Workers feed it
 // through atomics; enabled by ExperimentOptions::progress.
 class ProgressMeter {
  public:
-  ProgressMeter(bool enabled, size_t total, uint32_t interval_ms)
+  ProgressMeter(bool enabled, size_t total)
       : total_(total), enabled_(enabled && total > 0) {
     if (!enabled_) {
       return;
     }
     start_us_ = WallNowUs();
-    monitor_ = std::thread([this, interval_ms] {
+    monitor_ = std::thread([this] {
       std::unique_lock<std::mutex> lock(mutex_);
       while (!stop_) {
-        cv_.wait_for(lock, std::chrono::milliseconds(interval_ms == 0 ? 1000 : interval_ms));
+        cv_.wait_for(lock, kProgressInterval);
         if (stop_) {
           break;
         }
@@ -713,7 +716,7 @@ ExperimentResult RunExperiment(const WorkloadSpec& workload, const ExperimentOpt
 
 std::vector<ExperimentResult> RunSuite(const std::vector<WorkloadSpec>& workloads,
                                        const ExperimentOptions& options) {
-  ProgressMeter progress(options.progress, workloads.size(), options.progress_interval_ms);
+  ProgressMeter progress(options.progress, workloads.size());
   // On a pool, each experiment records into a private recorder
   // (options.events is not thread-safe); the timelines are merged back in
   // workload order below, so reports are scheduling-independent.  Serially

@@ -32,6 +32,9 @@
 
 namespace wrl {
 
+// The simulated machine's clock rate, used only to render cycles as seconds.
+constexpr double kClockHz = 25e6;
+
 // Report/archive spelling of a personality and its inverse (used by run
 // reports and wrltrace/1 archive metadata; FromName throws wrl::Error on an
 // unknown spelling).
@@ -98,8 +101,6 @@ struct ExperimentOptions {
   // traced.epoxie.* dilation metrics derived from it — changes.
   bool scavenge = ScavengeEnabled();
   uint64_t max_instructions = 3'000'000'000;
-  // Simulated clock frequency used only to render cycles as seconds.
-  double clock_hz = 25e6;
   // Optional shared timeline: build/run/analysis phases and trace drains
   // are recorded here.  When null the experiment records into a private
   // recorder and moves the events into ExperimentResult::timeline.
@@ -147,7 +148,6 @@ struct ExperimentOptions {
   // (workloads done, refs/sec, sim.mips, ETA).  Reports are unaffected —
   // the heartbeat writes only to stderr.
   bool progress = false;
-  uint32_t progress_interval_ms = 2000;
 };
 
 struct ExperimentResult {
@@ -200,8 +200,8 @@ struct ExperimentResult {
   // supplied a shared recorder — the caller owns the events then).
   std::vector<TimelineEvent> timeline;
 
-  double MeasuredSeconds(double hz) const { return static_cast<double>(measured_cycles) / hz; }
-  double PredictedSeconds(double hz) const { return prediction.PredictedCycles() / hz; }
+  double MeasuredSeconds() const { return static_cast<double>(measured_cycles) / kClockHz; }
+  double PredictedSeconds() const { return prediction.PredictedCycles() / kClockHz; }
   // A degenerate prediction: the analysis produced no cycles for a workload
   // the hardware measurably ran — the error percentage is meaningless.
   bool DegeneratePrediction() const {

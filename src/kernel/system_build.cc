@@ -626,39 +626,8 @@ std::unique_ptr<SystemInstance> BuildSystem(const SystemConfig& config) {
     next_frame += layout.region_pages;
     WRL_CHECK_MSG((next_frame << kPageShift) <= kOsPhysBytes, "out of user frames");
 
-    auto frame_for = [&](uint32_t vpn) -> uint32_t {
-      uint32_t slice_base;
-      uint32_t index;
-      uint32_t slice_pages;
-      if (vpn >= text_vpn0 && vpn < text_vpn0 + text_pages) {
-        slice_base = layout.text_slice_page;
-        index = vpn - text_vpn0;
-        slice_pages = text_pages;
-      } else if (vpn == (kUserBkBase >> kPageShift)) {
-        // The bookkeeping page rides in the last slot of the trace slice.
-        slice_base = layout.trace_slice_page;
-        index = trace_pages - 1;
-        slice_pages = trace_pages;
-      } else if (vpn >= trace_vpn0 && vpn < trace_vpn0 + trace_pages - 1) {
-        slice_base = layout.trace_slice_page;
-        index = vpn - trace_vpn0;
-        slice_pages = trace_pages;
-      } else if (vpn >= stack_vpn0 && vpn < stack_vpn0 + kUserStackPages) {
-        slice_base = layout.stack_slice_page;
-        index = vpn - stack_vpn0;
-        slice_pages = kUserStackPages;
-      } else {
-        WRL_CHECK(vpn >= data_vpn0 && vpn < data_vpn0 + data_pages);
-        slice_base = layout.data_slice_page;
-        index = vpn - data_vpn0;
-        slice_pages = data_pages;
-      }
-      if (config.policy == PagePolicy::kScrambled) {
-        index = static_cast<uint32_t>((static_cast<uint64_t>(index) * config.policy_mult) %
-                                      slice_pages);
-      }
-      return layout.region_base_page + slice_base + index;
-    };
+    // Premapped frames come from the same page map the analysis uses.
+    sys.layouts_.push_back(layout);
 
     // Page content assembly.
     auto page_bytes = [&](uint32_t vpn) -> std::vector<uint8_t> {
@@ -687,7 +656,7 @@ std::unique_ptr<SystemInstance> BuildSystem(const SystemConfig& config) {
 
     uint32_t premap_start = static_cast<uint32_t>(mappings.size());
     auto premap = [&](uint32_t vpn, bool writable) {
-      uint32_t pfn = frame_for(vpn);
+      uint32_t pfn = sys.TranslateUserPage(pid, vpn);
       mappings.emplace_back(vpn | (writable ? (1u << 24) : 0), pfn);
       std::vector<uint8_t> content = page_bytes(vpn);
       uint32_t paddr = static_cast<uint32_t>(static_cast<size_t>(pfn) << kPageShift);
@@ -698,6 +667,7 @@ std::unique_ptr<SystemInstance> BuildSystem(const SystemConfig& config) {
       premap(text_vpn0 + i, false);
     }
     uint32_t image_data_pages = PagesFor(heap_start - orig.data_base);
+    WRL_CHECK(image_data_pages <= data_pages);  // Every premapped page lies in its slice.
     for (uint32_t i = 0; i < image_data_pages; ++i) {
       premap(data_vpn0 + i, true);
     }
@@ -727,7 +697,6 @@ std::unique_ptr<SystemInstance> BuildSystem(const SystemConfig& config) {
       Put32(params, e + 36, mapped.SymbolAddress("bbtrace_bump"));
       Put32(params, e + 40, mapped.SymbolAddress("memtrace_bump"));
     }
-    sys.layouts_.push_back(layout);
   };
 
   build_process(1, sys.workload_exe_, sys.workload_orig_);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "support/error.h"
+#include "support/flags.h"
 #include "support/parallel.h"
 #include "support/rng.h"
 #include "support/strings.h"
@@ -56,6 +57,154 @@ TEST(Error, CheckMacroThrowsInternalError) {
   } catch (const InternalError& e) {
     EXPECT_NE(std::string(e.what()).find("details here"), std::string::npos);
   }
+}
+
+// The message of the FlagError `parse` throws ("" when it does not throw).
+template <typename Fn>
+std::string FlagErrorOf(Fn parse) {
+  try {
+    parse();
+  } catch (const FlagError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Flags, AcceptsBothSpellings) {
+  for (const std::vector<std::string>& args :
+       {std::vector<std::string>{"--scale=0.05", "--jobs=3", "--json=a.json", "--quiet"},
+        std::vector<std::string>{"--scale", "0.05", "--jobs", "3", "--json", "a.json", "--quiet"}}) {
+    double scale = 0.2;
+    unsigned jobs = 1;
+    std::string json;
+    bool quiet = false;
+    Flags flags;
+    flags.Real("scale", &scale);
+    flags.Unsigned("jobs", &jobs);
+    flags.String("json", &json, "PATH");
+    flags.Switch("quiet", &quiet);
+    EXPECT_TRUE(flags.Parse(args).empty());
+    EXPECT_EQ(scale, 0.05);
+    EXPECT_EQ(jobs, 3u);
+    EXPECT_EQ(json, "a.json");
+    EXPECT_TRUE(quiet);
+  }
+}
+
+TEST(Flags, UndeclaredFlagsKeepTheirDefaults) {
+  double scale = 0.2;
+  bool quiet = false;
+  Flags flags;
+  flags.Real("scale", &scale);
+  flags.Switch("quiet", &quiet);
+  flags.Parse(std::vector<std::string>{});
+  EXPECT_EQ(scale, 0.2);
+  EXPECT_FALSE(quiet);
+}
+
+TEST(Flags, RepeatedFlagsAppendAndValuesMayContainEquals) {
+  std::vector<std::string> metrics;
+  Flags flags;
+  flags.Strings("metric", &metrics, "NAME=PCT");
+  flags.Parse(std::vector<std::string>{"--metric", "a=5", "--metric=b=7.5", "--metric", "c"});
+  EXPECT_EQ(metrics, (std::vector<std::string>{"a=5", "b=7.5", "c"}));
+}
+
+TEST(Flags, CollectsAndCountsPositionals) {
+  bool quiet = false;
+  Flags flags("A B");
+  flags.Switch("quiet", &quiet);
+  EXPECT_EQ(flags.Parse(std::vector<std::string>{"x", "--quiet", "y"}, 2, 2),
+            (std::vector<std::string>{"x", "y"}));
+  EXPECT_TRUE(quiet);
+  EXPECT_EQ(flags.Parse(std::vector<std::string>{"-"}, 0, 1), (std::vector<std::string>{"-"}));
+  EXPECT_EQ(FlagErrorOf([&] { flags.Parse(std::vector<std::string>{"x"}, 2, 2); }),
+            "expected 2 positional argument(s), got 1");
+  EXPECT_EQ(FlagErrorOf([&] { flags.Parse(std::vector<std::string>{"x", "y", "z"}, 2, 2); }),
+            "unexpected argument 'z'");
+  EXPECT_EQ(FlagErrorOf([&] { flags.Parse(std::vector<std::string>{"x"}); }),
+            "unexpected argument 'x'");
+}
+
+TEST(Flags, RejectsUnknownMissingAndMisplacedValues) {
+  std::string json;
+  bool check = false;
+  Flags flags;
+  flags.String("json", &json, "PATH");
+  flags.Switch("check", &check);
+  EXPECT_EQ(FlagErrorOf([&] { flags.Parse(std::vector<std::string>{"--jbos", "4"}); }),
+            "unknown flag '--jbos'");
+  EXPECT_EQ(FlagErrorOf([&] { flags.Parse(std::vector<std::string>{"-j"}); }),
+            "unknown flag '-j'");
+  EXPECT_EQ(FlagErrorOf([&] { flags.Parse(std::vector<std::string>{"--js=x"}); }),
+            "unknown flag '--js=x'");
+  EXPECT_EQ(FlagErrorOf([&] { flags.Parse(std::vector<std::string>{"--json"}); }),
+            "--json needs a value");
+  EXPECT_EQ(FlagErrorOf([&] { flags.Parse(std::vector<std::string>{"--check=1"}); }),
+            "--check takes no value (got '--check=1')");
+  EXPECT_EQ(flags.Usage(), "[--json PATH] [--check]");
+}
+
+TEST(Flags, RejectsNumbersThatDoNotParseWhole) {
+  for (const char* bad : {"abc", "0.5x", "1e", "nan", "inf", "-inf", "", " 1", "1 ", "0x10"}) {
+    double scale = 0.2;
+    Flags flags;
+    flags.Real("scale", &scale);
+    EXPECT_EQ(FlagErrorOf([&] { flags.Parse(std::vector<std::string>{"--scale", bad}); }),
+              std::string("--scale: '") + bad + "' is not a finite number")
+        << bad;
+    EXPECT_EQ(scale, 0.2) << bad;
+  }
+  for (const char* bad : {"-1", "+1", "1.5", "4x", "", "abc", "99999999999999999999"}) {
+    unsigned jobs = 1;
+    Flags flags;
+    flags.Unsigned("jobs", &jobs);
+    EXPECT_EQ(FlagErrorOf([&] { flags.Parse(std::vector<std::string>{"--jobs=" + std::string(bad)}); }),
+              std::string("--jobs: '") + bad + "' is not an unsigned integer")
+        << bad;
+  }
+  uint8_t small = 0;
+  Flags flags;
+  flags.Unsigned("n", &small);
+  EXPECT_EQ(FlagErrorOf([&] { flags.Parse(std::vector<std::string>{"--n", "256"}); }),
+            "--n: 256 is larger than 255");
+  flags.Parse(std::vector<std::string>{"--n", "255"});
+  EXPECT_EQ(small, 255);
+  EXPECT_EQ(ParseFiniteReal("-2.5e-3"), -2.5e-3);
+  EXPECT_EQ(ParseFiniteReal("16"), 16.0);
+  EXPECT_EQ(ParseUnsigned("0"), 0u);
+  EXPECT_EQ(ParseUnsigned("18446744073709551615"), UINT64_MAX);
+}
+
+TEST(Flags, PassThroughForwardsWhatItDoesNotDeclare) {
+  std::string json;
+  std::vector<std::string> rest;
+  Flags flags;
+  flags.String("json", &json, "PATH");
+  flags.PassThrough(&rest);
+  EXPECT_TRUE(flags.Parse(std::vector<std::string>{"--benchmark_filter=BM_X", "--json", "m.json",
+                                                   "pos", "-v"})
+                  .empty());
+  EXPECT_EQ(json, "m.json");
+  EXPECT_EQ(rest, (std::vector<std::string>{"--benchmark_filter=BM_X", "pos", "-v"}));
+}
+
+TEST(RunMain, MapsOutcomesOntoExitCodes) {
+  std::string tool = "tool";
+  std::string arg = "--x";
+  char* argv[] = {tool.data(), arg.data()};
+  EXPECT_EQ(RunMain("tool", 1, argv, [](ArgList args) { return static_cast<int>(args.size()); }),
+            0);
+  EXPECT_EQ(RunMain("tool", 2, argv, [](ArgList args) { return static_cast<int>(args.size()); }),
+            1);
+  EXPECT_EQ(RunMain("tool", 2, argv,
+                    [](ArgList args) {
+                      Flags().Parse(args);
+                      return 0;
+                    }),
+            2);
+  EXPECT_EQ(RunMain("tool", 1, argv, [](ArgList) -> int { throw Error("runtime"); }), 2);
+  EXPECT_EQ(RunMain("tool", 1, argv, [](ArgList) -> int { throw std::out_of_range("x"); }), 2);
 }
 
 TEST(Rng, Deterministic) {

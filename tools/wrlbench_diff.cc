@@ -14,7 +14,9 @@
 //       [--advisory]          report regressions but exit 0
 //       [--quiet]             print regressions and summary only
 //
-// Exit codes: 0 ok (or --advisory), 1 regression(s), 2 usage/IO error.
+// Exit codes: 0 ok (or --advisory), 1 regression(s), 2 usage or runtime
+// error (an unknown flag, a threshold that is not a finite number, an
+// unreadable report).
 //
 // Neutral metrics (no inferable direction) and metrics present in only one
 // report are listed but never gate.  Wall-clock metrics are inherently
@@ -25,7 +27,6 @@
 // fails: a gate that silently evaporates is no gate).
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <set>
@@ -34,6 +35,7 @@
 #include <vector>
 
 #include "support/error.h"
+#include "support/flags.h"
 #include "support/json.h"
 
 using namespace wrl;
@@ -64,14 +66,14 @@ Direction DirectionOf(const std::string& name) {
 std::map<std::string, double> LoadMetrics(const std::string& path) {
   std::ifstream in(path);
   if (!in) {
-    throw Error("wrlbench_diff: cannot read " + path);
+    throw Error("cannot read " + path);
   }
   std::stringstream buffer;
   buffer << in.rdbuf();
   JsonValue doc = ParseJson(buffer.str());
   const JsonValue* metrics = doc.Find("metrics");
   if (metrics == nullptr || !metrics->IsObject()) {
-    throw Error("wrlbench_diff: " + path + " has no metrics object");
+    throw Error(path + " has no metrics object");
   }
   std::map<std::string, double> out;
   for (const auto& [key, value] : metrics->object) {
@@ -82,45 +84,32 @@ std::map<std::string, double> LoadMetrics(const std::string& path) {
   return out;
 }
 
-int Run(int argc, char** argv) {
-  std::vector<std::string> paths;
+int Run(ArgList args) {
   double threshold = 10.0;
-  std::map<std::string, double> overrides;
-  std::set<std::string> enforced;
+  std::vector<std::string> metric_specs;
+  std::vector<std::string> enforce;
   bool advisory = false;
   bool quiet = false;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--threshold" && i + 1 < argc) {
-      threshold = std::atof(argv[++i]);
-    } else if (arg == "--metric" && i + 1 < argc) {
-      std::string spec = argv[++i];
-      size_t eq = spec.rfind('=');
-      if (eq == std::string::npos) {
-        fprintf(stderr, "wrlbench_diff: --metric wants NAME=PCT, got '%s'\n", spec.c_str());
-        return 2;
-      }
-      overrides[spec.substr(0, eq)] = std::atof(spec.c_str() + eq + 1);
-    } else if (arg == "--enforce" && i + 1 < argc) {
-      enforced.insert(argv[++i]);
-    } else if (arg == "--advisory") {
-      advisory = true;
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else if (!arg.empty() && arg[0] == '-') {
-      fprintf(stderr,
-              "usage: wrlbench_diff BASELINE.json CURRENT.json [--threshold PCT]\n"
-              "                     [--metric NAME=PCT] [--enforce NAME] [--advisory]\n"
-              "                     [--quiet]\n");
-      return 2;
-    } else {
-      paths.push_back(arg);
+  Flags flags("BASELINE.json CURRENT.json");
+  flags.Real("threshold", &threshold);
+  flags.Strings("metric", &metric_specs, "NAME=PCT");
+  flags.Strings("enforce", &enforce, "NAME");
+  flags.Switch("advisory", &advisory);
+  flags.Switch("quiet", &quiet);
+  const std::vector<std::string> paths = flags.Parse(args, 2, 2);
+  std::map<std::string, double> overrides;
+  for (const std::string& spec : metric_specs) {
+    const size_t eq = spec.rfind('=');
+    if (eq == std::string::npos) {
+      throw flags.UsageError("--metric wants NAME=PCT, got '" + spec + "'");
+    }
+    try {
+      overrides[spec.substr(0, eq)] = ParseFiniteReal(std::string_view(spec).substr(eq + 1));
+    } catch (const Error& e) {
+      throw flags.UsageError("--metric " + spec + ": " + e.what());
     }
   }
-  if (paths.size() != 2) {
-    fprintf(stderr, "wrlbench_diff: need exactly two report paths\n");
-    return 2;
-  }
+  const std::set<std::string> enforced(enforce.begin(), enforce.end());
 
   std::map<std::string, double> baseline = LoadMetrics(paths[0]);
   std::map<std::string, double> current = LoadMetrics(paths[1]);
@@ -217,11 +206,4 @@ int Run(int argc, char** argv) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  try {
-    return Run(argc, argv);
-  } catch (const std::exception& e) {
-    fprintf(stderr, "wrlbench_diff: %s\n", e.what());
-    return 2;
-  }
-}
+int main(int argc, char** argv) { return RunMain("wrlbench_diff", argc, argv, Run); }

@@ -14,6 +14,9 @@
 // unattributed references — and the tool exits nonzero when any of it is
 // off (--no-verify downgrades that to a warning).
 //
+// Exit codes: 0 ok, 1 the profile does not reconcile, 2 usage or runtime
+// error.
+//
 // Usage:
 //   wrlprof [--workload NAME] [--personality ultrix|mach] [--scale F]
 //           [--top N] [--window REFS] [--json PATH]
@@ -32,7 +35,6 @@
 // ("space;symbol;block_0xADDR insts" per line).
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -42,6 +44,7 @@
 #include "kernel/system_build.h"
 #include "prof/prof.h"
 #include "support/error.h"
+#include "support/flags.h"
 #include "support/json.h"
 #include "support/strings.h"
 #include "trace/parser.h"
@@ -59,7 +62,7 @@ struct CliOptions {
   uint64_t window_refs = 1u << 18;
   std::string json_path;
   std::string folded_path;
-  bool verify = true;
+  bool no_verify = false;
   bool quiet = false;
   uint64_t max_instructions = 3'000'000'000;
 };
@@ -80,17 +83,10 @@ struct Reconcile {
   }
 };
 
-void Usage() {
-  std::fprintf(stderr,
-               "usage: wrlprof [--workload NAME] [--personality ultrix|mach] [--scale F]\n"
-               "               [--top N] [--window REFS] [--json PATH]\n"
-               "               [--folded PATH] [--no-verify] [--quiet]\n");
-}
-
 void WriteTextFile(const std::string& path, const std::string& content) {
   std::ofstream out(path);
   if (!out || !(out << content)) {
-    throw Error("wrlprof: cannot write " + path);
+    throw Error("cannot write " + path);
   }
 }
 
@@ -209,33 +205,21 @@ void WriteJsonReport(const std::string& path, const CliOptions& cli, const Recon
   WriteTextFile(path, writer.TakeString() + "\n");
 }
 
-int Run(int argc, char** argv) {
+int Run(ArgList args) {
   CliOptions cli;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--workload" && i + 1 < argc) {
-      cli.workload = argv[++i];
-    } else if (arg == "--personality" && i + 1 < argc) {
-      cli.personality = PersonalityFromName(argv[++i]);
-    } else if (arg == "--scale" && i + 1 < argc) {
-      cli.scale = std::atof(argv[++i]);
-    } else if (arg == "--top" && i + 1 < argc) {
-      cli.top = static_cast<size_t>(std::atol(argv[++i]));
-    } else if (arg == "--window" && i + 1 < argc) {
-      cli.window_refs = static_cast<uint64_t>(std::atoll(argv[++i]));
-    } else if (arg == "--json" && i + 1 < argc) {
-      cli.json_path = argv[++i];
-    } else if (arg == "--folded" && i + 1 < argc) {
-      cli.folded_path = argv[++i];
-    } else if (arg == "--no-verify") {
-      cli.verify = false;
-    } else if (arg == "--quiet") {
-      cli.quiet = true;
-    } else {
-      Usage();
-      return 2;
-    }
-  }
+  std::string personality = PersonalityName(cli.personality);
+  Flags flags;
+  flags.String("workload", &cli.workload, "NAME");
+  flags.String("personality", &personality, "ultrix|mach");
+  flags.Real("scale", &cli.scale);
+  flags.Unsigned("top", &cli.top);
+  flags.Unsigned("window", &cli.window_refs);
+  flags.String("json", &cli.json_path, "PATH");
+  flags.String("folded", &cli.folded_path, "PATH");
+  flags.Switch("no-verify", &cli.no_verify);
+  flags.Switch("quiet", &cli.quiet);
+  flags.Parse(args);
+  cli.personality = PersonalityFromName(personality);
 
   WorkloadSpec workload = PaperWorkload(cli.workload, cli.scale);
 
@@ -314,7 +298,7 @@ int Run(int argc, char** argv) {
                  static_cast<unsigned long long>(pstats.blocks),
                  static_cast<unsigned long long>(profile.totals.unattributed_insts),
                  static_cast<unsigned long long>(profile.totals.unattributed_data));
-    if (cli.verify) {
+    if (!cli.no_verify) {
       return 1;
     }
   } else if (!cli.quiet) {
@@ -325,11 +309,4 @@ int Run(int argc, char** argv) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  try {
-    return Run(argc, argv);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "wrlprof: %s\n", e.what());
-    return 2;
-  }
-}
+int main(int argc, char** argv) { return RunMain("wrlprof", argc, argv, Run); }

@@ -32,12 +32,12 @@
 //       Byte-level (chunk framing + payload CRCs) and reference-level
 //       (decoded word streams) comparison; exit 0 only when identical.
 //
-// Exit codes: 0 ok/identical, 1 difference or integrity finding, 2 usage
-// or hard error (bad header, unreadable file, invalid identity metadata).
+// Exit codes: 0 ok/identical, 1 difference, integrity finding or --expect
+// mismatch, 2 usage or runtime error (an unknown flag, a bad header, an
+// unreadable file, invalid identity metadata).
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -46,6 +46,7 @@
 #include "harness/experiment.h"
 #include "kernel/system_build.h"
 #include "support/error.h"
+#include "support/flags.h"
 #include "support/json.h"
 #include "support/strings.h"
 #include "trace/parser.h"
@@ -56,29 +57,17 @@ using namespace wrl;
 
 namespace {
 
-void Usage() {
-  std::fprintf(
-      stderr,
-      "usage: wrltrace record --workload NAME --out FILE [--scale F]\n"
-      "                       [--personality ultrix|mach] [--json PATH]\n"
-      "       wrltrace info FILE [--json PATH]\n"
-      "       wrltrace verify FILE\n"
-      "       wrltrace cat FILE [--chunk I] [--limit N]\n"
-      "       wrltrace replay FILE [--json PATH] [--expect PATH]\n"
-      "       wrltrace diff A B\n");
-}
-
 void WriteTextFile(const std::string& path, const std::string& content) {
   std::ofstream out(path);
   if (!out || !(out << content)) {
-    throw Error("wrltrace: cannot write " + path);
+    throw Error("cannot write " + path);
   }
 }
 
 std::string ReadTextFile(const std::string& path) {
   std::ifstream in(path);
   if (!in) {
-    throw Error("wrltrace: cannot read " + path);
+    throw Error("cannot read " + path);
   }
   std::ostringstream buffer;
   buffer << in.rdbuf();
@@ -162,33 +151,23 @@ void PrintDiagnostics(const ArchiveReader& archive) {
 
 // ---- record ---------------------------------------------------------------
 
-int CmdRecord(int argc, char** argv) {
+int CmdRecord(ArgList args) {
   std::string workload_name;
   std::string out_path;
   std::string json_path;
   double scale = 1.0;
-  Personality personality = Personality::kUltrix;
-  for (int i = 0; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--workload" && i + 1 < argc) {
-      workload_name = argv[++i];
-    } else if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (arg == "--scale" && i + 1 < argc) {
-      scale = std::atof(argv[++i]);
-    } else if (arg == "--personality" && i + 1 < argc) {
-      personality = PersonalityFromName(argv[++i]);
-    } else if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      Usage();
-      return 2;
-    }
-  }
+  std::string personality_name = "ultrix";
+  Flags flags("record");
+  flags.String("workload", &workload_name, "NAME");
+  flags.String("out", &out_path, "FILE");
+  flags.Real("scale", &scale);
+  flags.String("personality", &personality_name, "ultrix|mach");
+  flags.String("json", &json_path, "PATH");
+  flags.Parse(args);
   if (workload_name.empty() || out_path.empty()) {
-    Usage();
-    return 2;
+    throw flags.UsageError("record needs --workload and --out");
   }
+  const Personality personality = PersonalityFromName(personality_name);
 
   WorkloadSpec workload = PaperWorkload(workload_name, scale);
   ExperimentOptions options;
@@ -217,24 +196,11 @@ int CmdRecord(int argc, char** argv) {
 
 // ---- info -----------------------------------------------------------------
 
-int CmdInfo(int argc, char** argv) {
-  std::string path;
+int CmdInfo(ArgList args) {
   std::string json_path;
-  for (int i = 0; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (path.empty()) {
-      path = arg;
-    } else {
-      Usage();
-      return 2;
-    }
-  }
-  if (path.empty()) {
-    Usage();
-    return 2;
-  }
+  Flags flags("info FILE");
+  flags.String("json", &json_path, "PATH");
+  const std::string path = flags.Parse(args, 1, 1)[0];
   ArchiveReader archive(path);
   std::printf("%s: wrltrace/%u%s\n", path.c_str(), kArchiveVersion,
               archive.degraded() ? " [DEGRADED: recovered by scan]" : "");
@@ -280,12 +246,8 @@ int CmdInfo(int argc, char** argv) {
 
 // ---- verify ---------------------------------------------------------------
 
-int CmdVerify(int argc, char** argv) {
-  if (argc != 1) {
-    Usage();
-    return 2;
-  }
-  const std::string path = argv[0];
+int CmdVerify(ArgList args) {
+  const std::string path = Flags("verify FILE").Parse(args, 1, 1)[0];
   ArchiveReader archive(path);
   std::vector<std::string> findings;
   archive.Verify(&findings);
@@ -313,27 +275,13 @@ int CmdVerify(int argc, char** argv) {
 
 // ---- cat ------------------------------------------------------------------
 
-int CmdCat(int argc, char** argv) {
-  std::string path;
+int CmdCat(ArgList args) {
   size_t chunk = static_cast<size_t>(-1);
   uint64_t limit = 0;
-  for (int i = 0; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--chunk" && i + 1 < argc) {
-      chunk = static_cast<size_t>(std::atoll(argv[++i]));
-    } else if (arg == "--limit" && i + 1 < argc) {
-      limit = static_cast<uint64_t>(std::atoll(argv[++i]));
-    } else if (path.empty()) {
-      path = arg;
-    } else {
-      Usage();
-      return 2;
-    }
-  }
-  if (path.empty()) {
-    Usage();
-    return 2;
-  }
+  Flags flags("cat FILE");
+  flags.Unsigned("chunk", &chunk);
+  flags.Unsigned("limit", &limit);
+  const std::string path = flags.Parse(args, 1, 1)[0];
   ArchiveReader archive(path);
   PrintDiagnostics(archive);
   uint64_t printed = 0;
@@ -341,7 +289,7 @@ int CmdCat(int argc, char** argv) {
   const size_t begin = chunk == static_cast<size_t>(-1) ? 0 : chunk;
   const size_t end = chunk == static_cast<size_t>(-1) ? archive.chunk_count() : chunk + 1;
   if (begin >= archive.chunk_count() && begin != end) {
-    throw Error(StrFormat("wrltrace: chunk %zu out of range (archive has %zu)", begin,
+    throw Error(StrFormat("chunk %zu out of range (archive has %zu)", begin,
                           archive.chunk_count()));
   }
   for (size_t i = begin; i < end && i < archive.chunk_count(); ++i) {
@@ -358,27 +306,13 @@ int CmdCat(int argc, char** argv) {
 
 // ---- replay ---------------------------------------------------------------
 
-int CmdReplay(int argc, char** argv) {
-  std::string path;
+int CmdReplay(ArgList args) {
   std::string json_path;
   std::string expect_path;
-  for (int i = 0; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (arg == "--expect" && i + 1 < argc) {
-      expect_path = argv[++i];
-    } else if (path.empty()) {
-      path = arg;
-    } else {
-      Usage();
-      return 2;
-    }
-  }
-  if (path.empty()) {
-    Usage();
-    return 2;
-  }
+  Flags flags("replay FILE");
+  flags.String("json", &json_path, "PATH");
+  flags.String("expect", &expect_path, "PATH");
+  const std::string path = flags.Parse(args, 1, 1)[0];
 
   ArchiveReader archive(path);
   PrintDiagnostics(archive);
@@ -463,13 +397,10 @@ int CmdReplay(int argc, char** argv) {
 
 // ---- diff -----------------------------------------------------------------
 
-int CmdDiff(int argc, char** argv) {
-  if (argc != 2) {
-    Usage();
-    return 2;
-  }
-  ArchiveReader a(argv[0]);
-  ArchiveReader b(argv[1]);
+int CmdDiff(ArgList args) {
+  const std::vector<std::string> paths = Flags("diff A B").Parse(args, 2, 2);
+  ArchiveReader a(paths[0]);
+  ArchiveReader b(paths[1]);
   PrintDiagnostics(a);
   PrintDiagnostics(b);
   size_t differences = 0;
@@ -530,48 +461,25 @@ int CmdDiff(int argc, char** argv) {
   if (differences == 0) {
     std::printf("wrltrace: %s and %s are identical (%zu chunks, %llu words, "
                 "byte-identical payloads)\n",
-                argv[0], argv[1], a.chunk_count(),
+                paths[0].c_str(), paths[1].c_str(), a.chunk_count(),
                 static_cast<unsigned long long>(a.word_count()));
     return 0;
   }
   return 1;
 }
 
-int Run(int argc, char** argv) {
-  if (argc < 2) {
-    Usage();
-    return 2;
+int Run(ArgList args) {
+  static const std::map<std::string, int (*)(ArgList)> kCommands = {
+      {"record", CmdRecord}, {"info", CmdInfo},     {"verify", CmdVerify},
+      {"cat", CmdCat},       {"replay", CmdReplay}, {"diff", CmdDiff}};
+  const auto command = args.empty() ? kCommands.end() : kCommands.find(args[0]);
+  if (command == kCommands.end()) {
+    throw FlagError(args.empty() ? "missing command" : "unknown command '" + args[0] + "'",
+                    "record|info|verify|cat|replay|diff ...");
   }
-  const std::string cmd = argv[1];
-  if (cmd == "record") {
-    return CmdRecord(argc - 2, argv + 2);
-  }
-  if (cmd == "info") {
-    return CmdInfo(argc - 2, argv + 2);
-  }
-  if (cmd == "verify") {
-    return CmdVerify(argc - 2, argv + 2);
-  }
-  if (cmd == "cat") {
-    return CmdCat(argc - 2, argv + 2);
-  }
-  if (cmd == "replay") {
-    return CmdReplay(argc - 2, argv + 2);
-  }
-  if (cmd == "diff") {
-    return CmdDiff(argc - 2, argv + 2);
-  }
-  Usage();
-  return 2;
+  return command->second(args.subspan(1));
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  try {
-    return Run(argc, argv);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "wrltrace: %s\n", e.what());
-    return 2;
-  }
-}
+int main(int argc, char** argv) { return RunMain("wrltrace", argc, argv, Run); }

@@ -12,9 +12,11 @@
 // Usage:
 //   wrlverify [--json PATH] [--scale F] [--jobs N] [--quiet]
 //
-// --jobs audits targets on a worker pool (ParallelFor); findings and the
-// report order stay deterministic regardless of N (results are
-// slot-indexed and printed in task order).
+// --jobs audits targets on a worker pool (ParallelFor; 0 = every core);
+// findings and the report order stay deterministic regardless of N
+// (results are slot-indexed and printed in task order).
+//
+// Exit codes: 0 clean, 1 error-severity findings, 2 usage or runtime error.
 //
 // --json writes the machine-readable report (schema "wrlverify/1"):
 //   {
@@ -24,7 +26,6 @@
 //   }
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <functional>
 #include <optional>
@@ -41,6 +42,7 @@
 #include "obj/object_file.h"
 #include "stats/stats.h"
 #include "support/error.h"
+#include "support/flags.h"
 #include "support/json.h"
 #include "support/parallel.h"
 #include "support/strings.h"
@@ -184,33 +186,24 @@ void WriteJsonReport(const std::string& path, const std::vector<TargetReport>& t
   writer.EndObject();
   std::ofstream out(path);
   if (!out) {
-    throw Error("wrlverify: cannot write " + path);
+    throw Error("cannot write " + path);
   }
   out << writer.TakeString() << "\n";
 }
 
-int Run(int argc, char** argv) {
+int Run(ArgList args) {
   std::string json_path;
   double scale = 1.0;
   unsigned jobs = 1;
   bool quiet = false;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (arg == "--scale" && i + 1 < argc) {
-      scale = std::atof(argv[++i]);
-    } else if (arg == "--jobs" && i + 1 < argc) {
-      jobs = static_cast<unsigned>(std::atoi(argv[++i]));
-      if (jobs == 0) {
-        jobs = std::max(1u, std::thread::hardware_concurrency());
-      }
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else {
-      fprintf(stderr, "usage: wrlverify [--json PATH] [--scale F] [--jobs N] [--quiet]\n");
-      return 2;
-    }
+  Flags flags;
+  flags.String("json", &json_path, "PATH");
+  flags.Real("scale", &scale);
+  flags.Unsigned("jobs", &jobs);
+  flags.Switch("quiet", &quiet);
+  flags.Parse(args);
+  if (jobs == 0) {
+    jobs = std::max(1u, std::thread::hardware_concurrency());
   }
 
   // ---- Shared inputs, assembled once up front (the tasks only read) ----
@@ -308,11 +301,4 @@ int Run(int argc, char** argv) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  try {
-    return Run(argc, argv);
-  } catch (const std::exception& e) {
-    fprintf(stderr, "wrlverify: %s\n", e.what());
-    return 2;
-  }
-}
+int main(int argc, char** argv) { return RunMain("wrlverify", argc, argv, Run); }
