@@ -72,12 +72,7 @@ buf:    .space 24576
          personality == Personality::kMach ? "Mach 3.0 (microkernel + UNIX server)" : "Ultrix");
   auto sys = BuildSystem(config);
 
-  TraceParser parser(&sys->kernel_table());
-  parser.SetUserTable(1, &sys->user_table());
-  if (personality == Personality::kMach) {
-    parser.SetUserTable(2, &sys->server_table());
-  }
-  parser.SetInitialContext(kKernelPid);
+  TraceParser parser = sys->MakeParser();
 
   uint64_t kernel_entries = 0;
   parser.SetMetaSink([&](MarkerCode code, uint32_t /*operand*/) {

@@ -177,16 +177,6 @@ class ProgressMeter {
   std::thread monitor_;
 };
 
-// A trace-driven simulator with the original binaries, for the pixie-style
-// arithmetic-stall estimate.
-std::unique_ptr<TraceDrivenSimulator> MakeSimulator(const PredictorConfig& config,
-                                                    const SystemInstance& measured) {
-  auto simulator = std::make_unique<TraceDrivenSimulator>(config);
-  simulator->AddTextImage(measured.kernel_exe());
-  simulator->AddTextImage(measured.workload_orig());
-  return simulator;
-}
-
 // ---- The measured run ----
 // The uninstrumented system with the hardware timer, built and run to halt
 // on the calling thread; fills the measured-side fields of `result`
@@ -232,8 +222,8 @@ std::unique_ptr<SystemInstance> RunMeasured(const WorkloadSpec& workload,
 // traced run feeds it each drain as it arrives.
 class Analysis {
  public:
-  Analysis(const WorkloadSpec& workload, const ExperimentOptions& options,
-           const SystemInstance& measured, const SystemInstance& traced);
+  Analysis(const ExperimentOptions& options, const SystemInstance& measured,
+           const SystemInstance& traced);
   // The parser holds the tee's address and the drain chain holds this one.
   Analysis(const Analysis&) = delete;
   Analysis& operator=(const Analysis&) = delete;
@@ -257,33 +247,14 @@ class Analysis {
   std::unique_ptr<TeeBatchSink> tee_;
 };
 
-Analysis::Analysis(const WorkloadSpec& workload, const ExperimentOptions& options,
-                   const SystemInstance& measured, const SystemInstance& traced)
-    : options_(options), parser_(&traced.kernel_table()) {
-  const bool mach = options.personality == Personality::kMach;
-  parser_.SetUserTable(1, &traced.user_table());
-  if (mach) {
-    parser_.SetUserTable(2, &traced.server_table());
-  }
-  parser_.SetInitialContext(kKernelPid);
-
+Analysis::Analysis(const ExperimentOptions& options, const SystemInstance& measured,
+                   const SystemInstance& traced)
+    : options_(options), parser_(traced.MakeParser()) {
   const PredictorConfig pconfig = PrimaryConfig(options, measured);
   simulator_ = MakeSimulator(pconfig, measured);
   std::vector<RefBatchSink*> sinks{simulator_.get()};
   if (options.profile) {
-    // Same tables the parser resolves keys against; symbols from the
-    // original images (the address space the reconstructed refs live in).
-    profiler_ = std::make_unique<TraceProfiler>(options.profile_options);
-    profiler_->AddTable(kKernelPid, &traced.kernel_table());
-    profiler_->AddTable(1, &traced.user_table());
-    profiler_->AddSymbols(kKernelPid, traced.kernel_orig());
-    profiler_->AddSymbols(1, measured.workload_orig());
-    profiler_->SetSpaceName(1, workload.name);
-    if (mach) {
-      profiler_->AddTable(2, &traced.server_table());
-      profiler_->AddSymbols(2, traced.server_orig());
-      profiler_->SetSpaceName(2, "server");
-    }
+    profiler_ = MakeProfiler(options.profile_options, traced);
     sinks.push_back(profiler_.get());
   }
 
@@ -522,14 +493,33 @@ SystemConfig MakeConfig(const WorkloadSpec& workload, const ExperimentOptions& o
 
 // Page mapping (paper §4.2): the simulator implements the policy.  Mach's
 // random policy gives *a* mapping with the right distribution but different
-// draws — the repeatability problem the paper reports.
+// draws — the repeatability problem the paper reports — so the simulator
+// draws its own permutation (multiplier 13).  The deterministic linear
+// policy has no draw: it ignores the multiplier.
 PredictorConfig PrimaryConfig(const ExperimentOptions& options, const SystemInstance& measured) {
   PredictorConfig config;
   config.dilation = options.dilation;
-  config.page_map = options.personality == Personality::kMach
-                        ? measured.PageMap(13)  // Different permutation draw.
-                        : measured.PageMap();
+  config.page_map = measured.PageMap(13);
   return config;
+}
+
+std::unique_ptr<TraceDrivenSimulator> MakeSimulator(const PredictorConfig& config,
+                                                    const SystemInstance& measured) {
+  auto simulator = std::make_unique<TraceDrivenSimulator>(config);
+  simulator->AddTextImage(measured.kernel_exe());
+  simulator->AddTextImage(measured.workload_orig());
+  return simulator;
+}
+
+std::unique_ptr<TraceProfiler> MakeProfiler(const ProfileOptions& options,
+                                            const SystemInstance& system) {
+  auto profiler = std::make_unique<TraceProfiler>(options);
+  for (const AddressSpace& space : system.spaces()) {
+    profiler->AddTable(space.pid, &space.table);
+    profiler->AddSymbols(space.pid, space.orig);
+    profiler->SetSpaceName(space.pid, space.name);
+  }
+  return profiler;
 }
 
 ArchiveMeta HarnessArchiveMeta(const WorkloadSpec& workload, const ExperimentOptions& options) {
@@ -675,7 +665,7 @@ ExperimentResult RunExperiment(const WorkloadSpec& workload, const ExperimentOpt
     EventRecorder::Scope scope(events, "build.traced", "build");
     traced = BuildSystem(MakeConfig(workload, options, true, events));
   }
-  Analysis analysis(workload, options, *measured, *traced);
+  Analysis analysis(options, *measured, *traced);
   TracedRun traced_run;
   traced_run.Run(*traced, analysis, workload, options, events);
   analysis.Finish(result);

@@ -17,7 +17,9 @@
 #define WRLTRACE_HARNESS_EXPERIMENT_H_
 
 #include <limits>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "kernel/system_build.h"
@@ -95,11 +97,11 @@ struct ExperimentOptions {
   uint32_t clock_period = 200000;
   double dilation = 15.0;
   uint32_t trace_buf_bytes = 16u << 20;
-  // Liveness-driven epoxie scavenging (WRL_SCAVENGE in the environment by
-  // default).  Every counter, prediction, and reconstructed reference is
-  // bit-identical either way; only the instrumented text growth — and the
-  // traced.epoxie.* dilation metrics derived from it — changes.
-  bool scavenge = ScavengeEnabled();
+  // Liveness-driven epoxie scavenging.  Every counter, prediction, and
+  // reconstructed reference is bit-identical either way; only the
+  // instrumented text growth — and the traced.epoxie.* dilation metrics
+  // derived from it — changes.
+  bool scavenge = true;
   uint64_t max_instructions = 3'000'000'000;
   // Optional shared timeline: build/run/analysis phases and trace drains
   // are recorded here.  When null the experiment records into a private
@@ -115,12 +117,11 @@ struct ExperimentOptions {
   // ring (kDefaultPipelineDepth chunks) to a consumer thread that runs the
   // archive tee and the analysis, so the traced machine keeps simulating
   // while each drain is consumed (simulate ∥ parse ∥ analyze).  Defaults to
-  // on when the host has more than one hardware thread; WRL_PIPELINE=0
-  // forces the synchronous path and WRL_PIPELINE=1 forces the pipeline even
-  // on single-core hosts.  Every counter, trace word, profile, and report
-  // value is identical either way; the overlap itself is observable via
-  // the trace.pipeline.* metrics, which exist only on pipelined runs.
-  bool pipeline = PipelineEnabled();
+  // on when the host has more than one hardware thread to run the consumer.
+  // Every counter, trace word, profile, and report value is identical
+  // either way; the overlap itself is observable via the trace.pipeline.*
+  // metrics, which exist only on pipelined runs.
+  bool pipeline = std::thread::hardware_concurrency() > 1;
   // Extra analysis configurations priced from the same trace (each one more
   // sink on the analysis tee, not another traced machine run).
   std::vector<ReplayVariant> replay_variants;
@@ -235,6 +236,17 @@ SystemConfig MakeConfig(const WorkloadSpec& workload, const ExperimentOptions& o
 // dilation, and the measured run's page map under the deterministic policy
 // or a different permutation draw under Mach's random one.
 PredictorConfig PrimaryConfig(const ExperimentOptions& options, const SystemInstance& measured);
+
+// A trace-driven simulator over the measured system's kernel and workload
+// text, for the pixie-style arithmetic-stall estimate.
+std::unique_ptr<TraceDrivenSimulator> MakeSimulator(const PredictorConfig& config,
+                                                    const SystemInstance& measured);
+
+// A profiler keyed by every address space of `system`: its trace table, the
+// symbols of its original image (the address space reconstructed references
+// live in), and its name.
+std::unique_ptr<TraceProfiler> MakeProfiler(const ProfileOptions& options,
+                                            const SystemInstance& system);
 
 // The experiment's wrltrace/1 archive identity: the harness keys
 // (workload, personality, clock_period, dilation, trace_buf_bytes,

@@ -464,36 +464,49 @@ srv_cache_data: .space 32768
 )";
 }
 
-// ---- System building ------------------------------------------------------
+// ---- Image recipes -------------------------------------------------------
 
-namespace {
+ProgramImage BuildKernelImage(const std::optional<EpoxieConfig>& epoxie) {
+  ProgramImage out;
+  ObjectFile kernel_obj = Assemble("kernel.s", KernelAsm());
+  ObjectFile support = Assemble("support.s", TraceSupportAsm());
+  LinkOptions kopts;
+  kopts.text_base = kKseg0;
+  kopts.fixed_data_base = kKernelDataBase;
+  kopts.entry_symbol = "_start";
+  out.orig = Link({kernel_obj, support}, kopts);
+  if (!epoxie.has_value()) {
+    out.exe = out.orig;
+    return out;
+  }
+  InstrumentResult ikernel = Instrument(kernel_obj, *epoxie);
+  out.text_growth = ikernel.TextGrowthFactor();
+  out.elided_ra_saves = ikernel.elided_ra_saves;
+  out.scavenged_windows = ikernel.scavenged_windows;
+  out.exe = Link({ikernel.object, support}, kopts);
+  out.table.AddObject(ikernel.blocks, out.exe.object_text_bases[0],
+                      out.orig.object_text_bases[0]);
+  // The vectors are in the leading no-trace region: their offsets must
+  // survive instrumentation exactly.
+  WRL_CHECK_MSG(out.exe.SymbolAddress("_start") == kKseg0, "instrumented kernel vectors moved");
+  return out;
+}
 
-struct BuiltProgram {
-  Executable orig;
-  Executable traced;
-  TraceInfoTable table;
-  double text_growth = 1.0;  // Combined epoxie dilation across the objects.
-  uint64_t elided_ra_saves = 0;
-  uint64_t scavenged_windows = 0;
-};
-
-BuiltProgram BuildUserProgram(const std::string& name, const std::string& source, bool tracing,
-                              bool scavenge) {
-  BuiltProgram out;
+ProgramImage BuildUserImage(const std::string& name, const std::string& source,
+                            const std::optional<EpoxieConfig>& epoxie) {
+  ProgramImage out;
   ObjectFile userlib = Assemble("userlib.s", UserLibAsm());
   ObjectFile prog = Assemble(name + ".s", source);
 
   LinkOptions orig_opts;
   orig_opts.text_base = kUserTextBase;
   out.orig = Link({userlib, prog}, orig_opts);
-
-  if (!tracing) {
+  if (!epoxie.has_value()) {
+    out.exe = out.orig;
     return out;
   }
-  EpoxieConfig econfig;
-  econfig.scavenge = scavenge;
-  InstrumentResult ilib = Instrument(userlib, econfig);
-  InstrumentResult iprog = Instrument(prog, econfig);
+  InstrumentResult ilib = Instrument(userlib, *epoxie);
+  InstrumentResult iprog = Instrument(prog, *epoxie);
   out.elided_ra_saves = ilib.elided_ra_saves + iprog.elided_ra_saves;
   out.scavenged_windows = ilib.scavenged_windows + iprog.scavenged_windows;
   ObjectFile support = Assemble("support.s", TraceSupportAsm());
@@ -501,11 +514,9 @@ BuiltProgram BuildUserProgram(const std::string& name, const std::string& source
   LinkOptions traced_opts;
   traced_opts.text_base = kUserTracedTextBase;
   traced_opts.fixed_data_base = out.orig.data_base;
-  out.traced = Link({ilib.object, iprog.object, support, abs}, traced_opts);
-  WRL_CHECK_MSG(out.traced.bss_base == out.orig.bss_base,
-                "instrumented user bss moved; data addresses would not match");
-  out.table.AddObject(ilib.blocks, out.traced.object_text_bases[0], out.orig.object_text_bases[0]);
-  out.table.AddObject(iprog.blocks, out.traced.object_text_bases[1], out.orig.object_text_bases[1]);
+  out.exe = Link({ilib.object, iprog.object, support, abs}, traced_opts);
+  out.table.AddObject(ilib.blocks, out.exe.object_text_bases[0], out.orig.object_text_bases[0]);
+  out.table.AddObject(iprog.blocks, out.exe.object_text_bases[1], out.orig.object_text_bases[1]);
   uint32_t orig_words = ilib.original_text_words + iprog.original_text_words;
   if (orig_words > 0) {
     out.text_growth =
@@ -515,63 +526,32 @@ BuiltProgram BuildUserProgram(const std::string& name, const std::string& source
   return out;
 }
 
-}  // namespace
+// ---- System building ------------------------------------------------------
+
+void SystemInstance::AddSpace(uint8_t pid, std::string role, std::string name,
+                              ProgramImage image) {
+  elided_ra_saves_ += image.elided_ra_saves;
+  scavenged_windows_ += image.scavenged_windows;
+  spaces_.push_back({std::move(image), pid, std::move(role), std::move(name), ProcLayout{}});
+}
 
 std::unique_ptr<SystemInstance> BuildSystem(const SystemConfig& config) {
   auto sys_owner = std::make_unique<SystemInstance>();
   SystemInstance& sys = *sys_owner;
   sys.config_ = config;
 
-  // ---- Kernel ----
-  ObjectFile kernel_obj = Assemble("kernel.s", KernelAsm());
-  ObjectFile support = Assemble("support.s", TraceSupportAsm());
-  LinkOptions kopts;
-  kopts.text_base = kKseg0;
-  kopts.fixed_data_base = kKernelDataBase;
-  kopts.entry_symbol = "_start";
-  Executable kernel_orig = Link({kernel_obj, support}, kopts);
-  sys.kernel_orig_ = kernel_orig;
-
+  // ---- Address spaces, in pid order ----
+  std::optional<EpoxieConfig> epoxie;
   if (config.tracing) {
-    EpoxieConfig econfig;
-    econfig.scavenge = config.scavenge;
-    InstrumentResult ikernel = Instrument(kernel_obj, econfig);
-    sys.kernel_text_growth_ = ikernel.TextGrowthFactor();
-    sys.elided_ra_saves_ += ikernel.elided_ra_saves;
-    sys.scavenged_windows_ += ikernel.scavenged_windows;
-    sys.kernel_exe_ = Link({ikernel.object, support}, kopts);
-    sys.kernel_table_.AddObject(ikernel.blocks, sys.kernel_exe_.object_text_bases[0],
-                                kernel_orig.object_text_bases[0]);
-    // The vectors are in the leading no-trace region: their offsets must
-    // survive instrumentation exactly.
-    WRL_CHECK_MSG(sys.kernel_exe_.SymbolAddress("_start") == kKseg0,
-                  "instrumented kernel vectors moved");
-  } else {
-    sys.kernel_exe_ = kernel_orig;
+    epoxie.emplace();
+    epoxie->scavenge = config.scavenge;
   }
-  // Keep an original-kernel copy for idle-range and analysis addressing.
-  sys.workload_orig_ = Executable{};  // Set below.
-
-  // ---- User programs ----
-  bool mach = config.personality == Personality::kMach;
-  BuiltProgram workload = BuildUserProgram(config.program_name, config.program_source,
-                                           config.tracing, config.scavenge);
-  sys.workload_orig_ = workload.orig;
-  sys.workload_exe_ = config.tracing ? workload.traced : workload.orig;
-  sys.user_table_ = std::move(workload.table);
-  sys.workload_text_growth_ = workload.text_growth;
-  sys.elided_ra_saves_ += workload.elided_ra_saves;
-  sys.scavenged_windows_ += workload.scavenged_windows;
-
-  BuiltProgram server;
+  const bool mach = config.personality == Personality::kMach;
+  sys.AddSpace(kKernelPid, "kernel", "kernel", BuildKernelImage(epoxie));
+  sys.AddSpace(1, "workload", config.program_name,
+               BuildUserImage(config.program_name, config.program_source, epoxie));
   if (mach) {
-    server = BuildUserProgram("server", ServerAsm(), config.tracing, config.scavenge);
-    sys.server_orig_ = server.orig;
-    sys.server_exe_ = config.tracing ? server.traced : server.orig;
-    sys.server_table_ = std::move(server.table);
-    sys.server_text_growth_ = server.text_growth;
-    sys.elided_ra_saves_ += server.elided_ra_saves;
-    sys.scavenged_windows_ += server.scavenged_windows;
+    sys.AddSpace(2, "server", "server", BuildUserImage("server", ServerAsm(), epoxie));
   }
 
   // ---- Machine ----
@@ -583,16 +563,21 @@ std::unique_ptr<SystemInstance> BuildSystem(const SystemConfig& config) {
   sys.machine_ = std::make_unique<Machine>(mconfig);
   Machine& m = *sys.machine_;
   WriteDiskImage(config.files, m.disk().image());
-  m.LoadImage(sys.kernel_exe_, [](uint32_t v) { return v - kKseg0; });
+  m.LoadImage(sys.kernel_exe(), [](uint32_t v) { return v - kKseg0; });
 
   // ---- Per-process layout and premapping ----
-  uint32_t nprocs = mach ? 2 : 1;
   std::vector<uint8_t> params(kBootHeaderBytes + kMaxProcs * kBootProcStride, 0);
   std::vector<std::pair<uint32_t, uint32_t>> mappings;  // (vpn|flags<<24, pfn)
   uint32_t next_frame = kUserFramePoolPhys >> kPageShift;
 
-  auto build_process = [&](uint32_t pid, const Executable& mapped, const Executable& orig) {
-    SystemInstance::ProcLayout layout;
+  for (AddressSpace& space : std::span(sys.spaces_).subspan(1)) {
+    const uint32_t pid = space.pid;
+    const Executable& mapped = space.exe;
+    const Executable& orig = space.orig;
+    ProcLayout& layout = space.layout;
+    // The layout and the trace take data addresses from the original image.
+    WRL_CHECK_MSG(mapped.bss_base == orig.bss_base,
+                  "instrumented user bss moved; data addresses would not match");
     // Slices within the process's frame region: data+heap, stack, trace,
     // text.  Frame = slice base + (vpn - slice vpn0), permuted for the
     // scrambled policy.
@@ -625,9 +610,6 @@ std::unique_ptr<SystemInstance> BuildSystem(const SystemConfig& config) {
     layout.region_pages = layout.text_slice_page + text_pages;
     next_frame += layout.region_pages;
     WRL_CHECK_MSG((next_frame << kPageShift) <= kOsPhysBytes, "out of user frames");
-
-    // Premapped frames come from the same page map the analysis uses.
-    sys.layouts_.push_back(layout);
 
     // Page content assembly.
     auto page_bytes = [&](uint32_t vpn) -> std::vector<uint8_t> {
@@ -697,11 +679,6 @@ std::unique_ptr<SystemInstance> BuildSystem(const SystemConfig& config) {
       Put32(params, e + 36, mapped.SymbolAddress("bbtrace_bump"));
       Put32(params, e + 40, mapped.SymbolAddress("memtrace_bump"));
     }
-  };
-
-  build_process(1, sys.workload_exe_, sys.workload_orig_);
-  if (mach) {
-    build_process(2, sys.server_exe_, server.orig);
   }
 
   // ---- Boot parameter header ----
@@ -711,7 +688,7 @@ std::unique_ptr<SystemInstance> BuildSystem(const SystemConfig& config) {
   Put32(params, 4, static_cast<uint32_t>(config.personality));
   Put32(params, 8, config.tracing ? 1 : 0);
   Put32(params, 12, config.clock_period);
-  Put32(params, 16, nprocs);
+  Put32(params, 16, static_cast<uint32_t>(sys.user_spaces().size()));
   Put32(params, 20, trace_buf_phys);
   Put32(params, 24, config.trace_buf_bytes);
   Put32(params, 28, static_cast<uint32_t>(config.policy));
@@ -735,7 +712,7 @@ std::unique_ptr<SystemInstance> BuildSystem(const SystemConfig& config) {
 
   // ---- Tracing transport ----
   if (config.tracing) {
-    sys.ktrace_ptr_addr_ = sys.kernel_exe_.SymbolAddress("ktrace_ptr") - kKseg0;
+    sys.ktrace_ptr_addr_ = sys.kernel_exe().SymbolAddress("ktrace_ptr") - kKseg0;
     sys.ktrace_base_ = trace_buf_phys;
     SystemInstance* sys_ptr = &sys;
     m.set_hostcall_handler([sys_ptr](uint32_t value) -> uint32_t {
@@ -797,17 +774,21 @@ void SystemInstance::RegisterStats(StatsRegistry& registry, const std::string& p
     registry.AddHistogram(prefix + "trace.drain_words", &drain_words_hist_);
     registry.AddGauge(prefix + "trace.buffer_capacity_words",
                       [this] { return static_cast<double>(config_.trace_buf_bytes / 4); });
-    registry.AddGauge(prefix + "epoxie.kernel_text_growth",
-                      [this] { return kernel_text_growth_; });
-    registry.AddGauge(prefix + "epoxie.workload_text_growth",
-                      [this] { return workload_text_growth_; });
+    for (const AddressSpace& space : spaces_) {
+      registry.AddGauge(prefix + "epoxie." + space.role + "_text_growth",
+                        [&space] { return space.text_growth; });
+    }
     registry.AddCounter(prefix + "epoxie.elided_ra_saves", &elided_ra_saves_);
     registry.AddCounter(prefix + "epoxie.scavenged_windows", &scavenged_windows_);
-    if (config_.personality == Personality::kMach) {
-      registry.AddGauge(prefix + "epoxie.server_text_growth",
-                        [this] { return server_text_growth_; });
-    }
   }
+}
+
+TraceParser SystemInstance::MakeParser() const {
+  TraceParser parser(&kernel_table());
+  for (const AddressSpace& space : user_spaces()) {
+    parser.SetUserTable(space.pid, &space.table);
+  }
+  return parser;
 }
 
 std::string SystemInstance::ConsoleOutput() const { return machine_->console().output(); }
@@ -828,8 +809,8 @@ uint32_t SystemInstance::ProcessExitCode(uint32_t pid) const {
 
 uint32_t SystemInstance::TranslateUserPage(uint32_t pid, uint32_t vpn,
                                            uint32_t mult_override) const {
-  WRL_CHECK(pid >= 1 && pid <= layouts_.size());
-  const ProcLayout& layout = layouts_[pid - 1];
+  WRL_CHECK(pid >= 1 && pid < spaces_.size());
+  const ProcLayout& layout = spaces_[pid].layout;
   uint32_t slice_base;
   uint32_t index;
   uint32_t slice_pages;
@@ -866,8 +847,8 @@ uint32_t SystemInstance::TranslateUserPage(uint32_t pid, uint32_t vpn,
 }
 
 std::pair<uint32_t, uint32_t> SystemInstance::IdleRange() const {
-  uint32_t lo = kernel_exe_.SymbolAddress("idle_loop");
-  uint32_t hi = kernel_exe_.SymbolAddress("idle_exit");
+  uint32_t lo = kernel_exe().SymbolAddress("idle_loop");
+  uint32_t hi = kernel_exe().SymbolAddress("idle_exit");
   return {lo, hi};
 }
 

@@ -13,6 +13,8 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -50,7 +52,7 @@ struct SystemConfig {
   // windows through dead scratch registers).  The reconstructed reference
   // stream and every prediction are bit-identical either way; only the
   // instrumented text growth (and thus dilation) changes.
-  bool scavenge = ScavengeEnabled();
+  bool scavenge = true;
   // The workload program (defines `main`).  Under Mach a UNIX-server
   // process is added automatically as pid 2.
   std::string program_source;
@@ -65,19 +67,80 @@ struct SystemConfig {
   EventRecorder* events = nullptr;
 };
 
+// One program image built by the system's recipe: the original link and,
+// when instrumented, the epoxie link and the table that maps its block keys
+// back to original addresses.
+struct ProgramImage {
+  // The address space reconstructed trace references and symbols live in.
+  Executable orig;
+  // The image the machine loads: the instrumented link, or `orig` untraced.
+  Executable exe;
+  TraceInfoTable table;      // Empty when untraced.
+  double text_growth = 1.0;  // Epoxie text growth over the instrumented objects.
+  uint64_t elided_ra_saves = 0;
+  uint64_t scavenged_windows = 0;
+};
+
+// The image recipes: assemble, instrument every traced object with `epoxie`
+// (none = untraced), link the original and the instrumented image, and fill
+// the trace table.  The kernel links at kseg0 with the trace support
+// routines (untraced) and its vectors at fixed offsets; a user program links
+// with the syscall library (UserLibAsm) at kUserTextBase, and its
+// instrumented image at kUserTracedTextBase keeps the original data base
+// (epoxie mode adds no data, so every data address matches the original;
+// the pixie baseline appends its translation table to data).
+ProgramImage BuildKernelImage(const std::optional<EpoxieConfig>& epoxie);
+ProgramImage BuildUserImage(const std::string& name, const std::string& source,
+                            const std::optional<EpoxieConfig>& epoxie);
+
+// Where a user process lives in physical memory: one frame region split into
+// slices (data+heap, stack, trace buffer + bookkeeping page, text).  Frame =
+// region base + slice base + (vpn - slice vpn0), permuted within the slice
+// under the scrambled policy.
+struct ProcLayout {
+  uint32_t region_base_page = 0;
+  uint32_t region_pages = 0;
+  uint32_t data_slice_page = 0;  // Within the region.
+  uint32_t data_vpn0 = 0;
+  uint32_t stack_slice_page = 0;
+  uint32_t stack_vpn0 = 0;
+  uint32_t trace_slice_page = 0;
+  uint32_t trace_vpn0 = 0;
+  uint32_t text_slice_page = 0;
+  uint32_t text_vpn0 = 0;
+  uint32_t data_slice_pages = 0;
+};
+
+// One address space of a system: the kernel or one user process, with the
+// images, trace table and text growth its recipe built.
+struct AddressSpace : ProgramImage {
+  uint8_t pid = kKernelPid;
+  // "kernel", "workload" or "server": names its system.epoxie.* gauge.
+  std::string role;
+  // The program name ("kernel" for the kernel): the profiler's space name.
+  std::string name;
+  ProcLayout layout;  // User spaces only.
+};
+
 // Everything known about one bootable instance.
 class SystemInstance {
  public:
   SystemInstance() = default;
 
   Machine& machine() { return *machine_; }
-  const Executable& kernel_exe() const { return kernel_exe_; }
-  // Original (uninstrumented) images — the address space the reconstructed
-  // trace refers to; symbolization sources for the profiler.  For untraced
-  // systems kernel_orig == kernel_exe and server_orig == server_exe.
-  const Executable& kernel_orig() const { return kernel_orig_; }
-  const Executable& workload_orig() const { return workload_orig_; }
-  const Executable& server_orig() const { return server_orig_; }
+  // The address spaces in pid order: the kernel (kKernelPid), the workload
+  // (pid 1) and, under Mach, the UNIX server (pid 2).  user_spaces() is the
+  // same list without the kernel.
+  const std::vector<AddressSpace>& spaces() const { return spaces_; }
+  std::span<const AddressSpace> user_spaces() const {
+    return std::span<const AddressSpace>(spaces_).subspan(1);
+  }
+  // Views of single spaces.  For untraced systems kernel_exe() is
+  // kernel_orig().
+  const Executable& kernel_exe() const { return spaces_[0].exe; }
+  const Executable& kernel_orig() const { return spaces_[0].orig; }
+  const Executable& workload_orig() const { return spaces_[1].orig; }
+  const Executable& server_orig() const { return spaces_.at(2).orig; }
   // Runs to halt; services trace drains along the way for traced systems.
   RunResult Run(uint64_t max_instructions);
 
@@ -100,8 +163,12 @@ class SystemInstance {
   void SetTraceSink(std::function<void(const uint32_t*, size_t)> sink) {
     trace_sink_ = std::move(sink);
   }
-  const TraceInfoTable& kernel_table() const { return kernel_table_; }
-  const TraceInfoTable& user_table() const { return user_table_; }
+  const TraceInfoTable& kernel_table() const { return spaces_[0].table; }
+  const TraceInfoTable& user_table() const { return spaces_[1].table; }
+  const TraceInfoTable& server_table() const { return spaces_.at(2).table; }
+  // A trace parser keyed by every space's trace table; this instance must
+  // outlive it.
+  TraceParser MakeParser() const;
   uint64_t trace_words_drained() const { return trace_words_drained_; }
 
   // The page-mapping function the simulator should use for prediction
@@ -122,33 +189,21 @@ class SystemInstance {
   // Binds this instance's counters into `registry` under `prefix`: the
   // machine (and its memory system), the kernel stats-block words as
   // gauges, the trace transport (drain-size histogram, buffer fill
-  // levels), and the epoxie text-dilation ratios of every instrumented
-  // image.  The instance must outlive snapshots of the registry.
+  // levels), and the epoxie text-dilation ratio of every space.  The
+  // instance must outlive snapshots of the registry.
   void RegisterStats(StatsRegistry& registry, const std::string& prefix = "system.");
-  // Epoxie text growth of the instrumented images (1.0 when untraced).
-  double kernel_text_growth() const { return kernel_text_growth_; }
-  double workload_text_growth() const { return workload_text_growth_; }
-  // Scavenging outcome summed over every instrumented object (zero when
-  // untraced or SystemConfig::scavenge is off).
-  uint64_t elided_ra_saves() const { return elided_ra_saves_; }
-  uint64_t scavenged_windows() const { return scavenged_windows_; }
 
  private:
   friend std::unique_ptr<SystemInstance> BuildSystem(const SystemConfig& config);
 
+  void AddSpace(uint8_t pid, std::string role, std::string name, ProgramImage image);
   void DrainTrace();
 
   SystemConfig config_;
   std::unique_ptr<Machine> machine_;
-  Executable kernel_exe_;
-  Executable kernel_orig_;
-  Executable workload_orig_;
-  Executable workload_exe_;  // The one actually mapped (orig or traced).
-  Executable server_exe_;
-  Executable server_orig_;
-  TraceInfoTable kernel_table_;
-  TraceInfoTable user_table_;    // Workload (pid 1).
-  TraceInfoTable server_table_;  // Server (pid 2, Mach only).
+  // spaces_[0] is the kernel and spaces_[pid] user process `pid`, so the
+  // per-reference page map finds a layout by direct index.
+  std::vector<AddressSpace> spaces_;
   std::function<void(const uint32_t*, size_t)> trace_sink_;
   uint32_t ktrace_ptr_addr_ = 0;  // Phys address of the kernel's ktrace_ptr.
   uint32_t ktrace_base_ = 0;      // Phys address of the buffer.
@@ -156,33 +211,10 @@ class SystemInstance {
   uint64_t last_drain_words_ = 0;
   uint64_t trace_drains_ = 0;
   Histogram drain_words_hist_;   // Buffer fill level (words) at each drain.
-  double kernel_text_growth_ = 1.0;
-  double workload_text_growth_ = 1.0;
-  double server_text_growth_ = 1.0;
+  // Scavenging outcome summed over every space (zero when untraced or
+  // SystemConfig::scavenge is off).
   uint64_t elided_ra_saves_ = 0;
   uint64_t scavenged_windows_ = 0;
-
-  struct ProcLayout {
-    uint32_t region_base_page = 0;
-    uint32_t region_pages = 0;
-    uint32_t data_slice_page = 0;   // Within the region.
-    uint32_t data_vpn0 = 0;
-    uint32_t stack_slice_page = 0;
-    uint32_t stack_vpn0 = 0;
-    uint32_t trace_slice_page = 0;
-    uint32_t trace_vpn0 = 0;
-    uint32_t text_slice_page = 0;
-    uint32_t text_vpn0 = 0;
-    uint32_t data_slice_pages = 0;
-  };
-  std::vector<ProcLayout> layouts_;
-
-  const TraceInfoTable* UserTableFor(uint32_t pid) const {
-    return pid == 2 ? &server_table_ : &user_table_;
-  }
-
- public:
-  const TraceInfoTable& server_table() const { return server_table_; }
 };
 
 // Compiles, links, loads, and prepares a bootable system.  (Heap-allocated:

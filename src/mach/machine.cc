@@ -1,7 +1,6 @@
 #include "mach/machine.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 
 #include "support/error.h"
@@ -9,24 +8,9 @@
 
 namespace wrl {
 
-namespace {
-
-// `WRL_FASTPATH=0` forces every fast-path layer off, so a rebuilt-free A/B
-// run (or a bisection of a suspected fast-path bug) is always one
-// environment variable away.
-FastPathConfig ResolveFastPath(const FastPathConfig& configured) {
-  const char* env = std::getenv("WRL_FASTPATH");
-  if (env != nullptr && env[0] == '0' && env[1] == '\0') {
-    return FastPathConfig::AllOff();
-  }
-  return configured;
-}
-
-}  // namespace
-
 Machine::Machine(const MachineConfig& config)
     : config_(config),
-      fastpath_(ResolveFastPath(config.fastpath)),
+      fastpath_(config.fastpath),
       phys_(config.phys_bytes),
       memsys_(config.memsys),
       timing_(config.timing),

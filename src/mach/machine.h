@@ -78,8 +78,8 @@ struct RefEvent {
 // The layered simulation fast path.  Every layer is a pure optimization:
 // with any combination of flags, the architectural state sequence, every
 // counter, and every trace word are byte-identical to the all-off slow
-// path (tests/fastpath_test.cc holds the machine to that).  `WRL_FASTPATH=0`
-// in the environment forces everything off, for A/B runs without a rebuild.
+// path (tests/fastpath_test.cc holds the machine to that); AllOff() is
+// that slow path, the oracle the fast path is tested against.
 struct FastPathConfig {
   // Cache Decode() results per physical page; invalidated on stores, DMA,
   // and image loads into the page (self-modifying code keeps working).
@@ -211,7 +211,7 @@ class Machine {
   }
   uint64_t idle_instructions() const { return idle_instructions_; }
 
-  // Active fast-path layers (config, possibly overridden by WRL_FASTPATH=0).
+  // Active fast-path layers.
   const FastPathConfig& fastpath() const { return fastpath_; }
 
  private:

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -63,6 +64,13 @@ class Flags {
   void Switch(const std::string& name, bool* out);
   template <typename T>
   void Unsigned(const std::string& name, T* out) {
+    Add(name, "N", [out](std::string_view v) {
+      *out = static_cast<T>(ParseUnsigned(v, std::numeric_limits<T>::max()));
+    });
+  }
+  // An unsigned flag with no default: `*out` holds a value only if given.
+  template <typename T>
+  void Unsigned(const std::string& name, std::optional<T>* out) {
     Add(name, "N", [out](std::string_view v) {
       *out = static_cast<T>(ParseUnsigned(v, std::numeric_limits<T>::max()));
     });

@@ -18,17 +18,14 @@
 // counters each ring exports as `trace.pipeline.*` wrlstats metrics.
 //
 // Degradation: the pipeline only helps when a second hardware thread can
-// run the consumer, so PipelineEnabled() defaults to on for multi-core
-// hosts and off (synchronous) for single-core ones.  WRL_PIPELINE=1 forces
-// it on (the tests do this to exercise the threaded path everywhere);
-// WRL_PIPELINE=0 forces today's synchronous path.
+// run the consumer, so the experiment harness turns it on for multi-core
+// hosts and leaves single-core ones synchronous
+// (ExperimentOptions::pipeline).
 #ifndef WRLTRACE_TRACE_CHUNK_RING_H_
 #define WRLTRACE_TRACE_CHUNK_RING_H_
 
 #include <condition_variable>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -44,15 +41,6 @@ namespace wrl {
 // even a shallow ring lets the machine run a full buffer ahead of the
 // analysis; deeper rings only buy slack against bursty drains.
 constexpr size_t kDefaultPipelineDepth = 8;
-
-// The pipeline default: on when a second hardware thread exists to run the
-// consumer, overridable either way with WRL_PIPELINE=1 / WRL_PIPELINE=0.
-inline bool PipelineEnabled() {
-  if (const char* env = std::getenv("WRL_PIPELINE")) {
-    return std::strcmp(env, "0") != 0;
-  }
-  return std::thread::hardware_concurrency() > 1;
-}
 
 // A bounded SPSC ring of trace-word chunks.  Push copies the chunk (the
 // producer's buffer is the live kernel trace buffer, reused immediately

@@ -516,14 +516,12 @@ WorkloadSpec UnitWorkload() {
   return w;
 }
 
-ReplaySource UnitSource(const TraceChunkSource* log, const SystemInstance& traced,
-                        Personality personality = Personality::kUltrix) {
+ReplaySource UnitSource(const TraceChunkSource* log, const SystemInstance& traced) {
   ReplaySource source;
   source.log = log;
   source.kernel_table = &traced.kernel_table();
-  source.user_tables.emplace_back(1, &traced.user_table());
-  if (personality == Personality::kMach) {
-    source.user_tables.emplace_back(2, &traced.server_table());
+  for (const AddressSpace& space : traced.user_spaces()) {
+    source.user_tables.emplace_back(space.pid, &space.table);
   }
   return source;
 }
@@ -590,22 +588,21 @@ TEST(ArchiveExperiment, TeeReplaysToTheLiveAnalysisCountersBitForBit) {
   auto measured = BuildSystem(MakeConfig(UnitWorkload(), options, false));
   auto traced = BuildSystem(MakeConfig(UnitWorkload(), options, true));
 
-  TraceDrivenSimulator simulator(PrimaryConfig(options, *measured));
-  simulator.AddTextImage(measured->kernel_exe());
-  simulator.AddTextImage(measured->workload_orig());
+  std::unique_ptr<TraceDrivenSimulator> simulator =
+      MakeSimulator(PrimaryConfig(options, *measured), *measured);
 
   ReplayEngine engine(UnitSource(&archive, *traced));
   engine.Parse();
   const std::vector<TraceRef>& refs = engine.refs();
   for (size_t i = 0; i < refs.size(); i += kRefBatchCapacity) {
-    simulator.OnRefBatch(refs.data() + i, std::min(kRefBatchCapacity, refs.size() - i));
+    simulator->OnRefBatch(refs.data() + i, std::min(kRefBatchCapacity, refs.size() - i));
   }
-  simulator.Finish();
+  simulator->Finish();
 
   TraceParserStats parser_stats = engine.parser_stats();
   StatsRegistry registry;
   RegisterParserStats(registry, "parser.", &parser_stats);
-  simulator.RegisterStats(registry, "predicted.");
+  simulator->RegisterStats(registry, "predicted.");
   StatsSnapshot replayed = registry.Snapshot();
 
   // Every analysis counter the live run produced, reproduced exactly.
@@ -631,7 +628,6 @@ TEST(ArchiveExperiment, TeeReplaysToTheLiveAnalysisCountersBitForBit) {
 // A Mach paper workload, so that the page-map variant's different draw
 // changes its miss counts.
 TEST(ArchiveExperiment, AnalysisTeeMatchesDedicatedReplays) {
-  const Personality mach = Personality::kMach;
   const WorkloadSpec workload = PaperWorkload("compress", 0.02);
   const std::string path = TempPath("tee_oracle.wrl");
   ReplayVariant geometry;  // Geometry-only: priced by the sweep.
@@ -646,7 +642,7 @@ TEST(ArchiveExperiment, AnalysisTeeMatchesDedicatedReplays) {
   remap.name = "remap";
   remap.page_map_mult = 7;
   ExperimentOptions options;
-  options.personality = mach;
+  options.personality = Personality::kMach;
   options.archive_path = path;
   options.profile = true;
   options.sweep.tlb_max_entries = 16;
@@ -669,12 +665,6 @@ TEST(ArchiveExperiment, AnalysisTeeMatchesDedicatedReplays) {
   auto measured = BuildSystem(MakeConfig(workload, options, false));
   auto traced = BuildSystem(MakeConfig(workload, options, true));
   const PredictorConfig pconfig = PrimaryConfig(options, *measured);
-  auto simulator = [&measured](const PredictorConfig& config) {
-    auto sim = std::make_unique<TraceDrivenSimulator>(config);
-    sim->AddTextImage(measured->kernel_exe());
-    sim->AddTextImage(measured->workload_orig());
-    return sim;
-  };
   SweepConfig sweep_config;
   sweep_config.base = pconfig.memsys;
   sweep_config.page_map = pconfig.page_map;
@@ -685,19 +675,8 @@ TEST(ArchiveExperiment, AnalysisTeeMatchesDedicatedReplays) {
 
   std::vector<ReplayEngine::Config> configs;
   configs.reserve(3 + options.replay_variants.size());
-  configs.push_back({"primary", [&] { return simulator(pconfig); }});
-  configs.push_back({"profile", [&] {
-                       auto prof = std::make_unique<TraceProfiler>(options.profile_options);
-                       prof->AddTable(kKernelPid, &traced->kernel_table());
-                       prof->AddTable(1, &traced->user_table());
-                       prof->AddSymbols(kKernelPid, traced->kernel_orig());
-                       prof->AddSymbols(1, measured->workload_orig());
-                       prof->SetSpaceName(1, workload.name);
-                       prof->AddTable(2, &traced->server_table());
-                       prof->AddSymbols(2, traced->server_orig());
-                       prof->SetSpaceName(2, "server");
-                       return prof;
-                     }});
+  configs.push_back({"primary", [&] { return MakeSimulator(pconfig, *measured); }});
+  configs.push_back({"profile", [&] { return MakeProfiler(options.profile_options, *traced); }});
   configs.push_back({"sweep", [&] { return std::make_unique<SweepEngine>(sweep_config); }});
   for (const ReplayVariant& v : options.replay_variants) {
     configs.push_back({v.name, [&, v] {
@@ -707,10 +686,10 @@ TEST(ArchiveExperiment, AnalysisTeeMatchesDedicatedReplays) {
                          if (v.page_map_mult != 0) {
                            vconfig.page_map = measured->PageMap(v.page_map_mult);
                          }
-                         return simulator(vconfig);
+                         return MakeSimulator(vconfig, *measured);
                        }});
   }
-  ReplayEngine engine(UnitSource(&archive, *traced, mach));
+  ReplayEngine engine(UnitSource(&archive, *traced));
   std::vector<ReplayEngine::Outcome> oracle = engine.Run(configs);
   auto sim = [&oracle](size_t i) { return static_cast<TraceDrivenSimulator*>(oracle[i].sink.get()); };
 

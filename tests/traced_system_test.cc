@@ -46,12 +46,7 @@ TracedRun RunTraced(const std::string& program,
   config.trace_buf_bytes = trace_buf_bytes;
   run.sys = BuildSystem(config);
 
-  TraceParser parser(&run.sys->kernel_table());
-  parser.SetUserTable(1, &run.sys->user_table());
-  if (personality == Personality::kMach) {
-    parser.SetUserTable(2, &run.sys->server_table());
-  }
-  parser.SetInitialContext(kKernelPid);
+  TraceParser parser = run.sys->MakeParser();
   RefFnSink tally([&](const TraceRef& ref) {
     if (ref.kernel) {
       ++run.kernel_refs;
@@ -260,9 +255,7 @@ TEST(TracedSystem, DefensiveChecksCatchCorruption) {
   ASSERT_GT(words.size(), 100u);
 
   auto parse = [&](const std::vector<uint32_t>& stream) {
-    TraceParser parser(&sys->kernel_table());
-    parser.SetUserTable(1, &sys->user_table());
-    parser.SetInitialContext(kKernelPid);
+    TraceParser parser = sys->MakeParser();
     parser.Feed(stream);
     parser.Finish();
     return parser.stats().validation_errors;

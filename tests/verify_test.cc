@@ -13,6 +13,7 @@
 #include "epoxie/epoxie.h"
 #include "isa/isa.h"
 #include "kernel/kernel_asm.h"
+#include "kernel/system_build.h"
 #include "stats/stats.h"
 #include "support/json.h"
 #include "trace/abi.h"
@@ -457,6 +458,43 @@ TEST(VerifyImageAudit, EntryOutsideText) {
   VerifyReport report = VerifyImage(exe);
   EXPECT_FALSE(report.ok());
   EXPECT_NE(report.findings[0].message.find("entry point"), std::string::npos);
+}
+
+// The images the harness boots: every instrumented image in a traced Mach
+// system's space list (kernel, workload, UNIX server), as BuildSystem links
+// them.
+TEST(VerifyImageAudit, BootedMachSystemImagesAreClean) {
+  SystemConfig config;
+  config.personality = Personality::kMach;
+  config.tracing = true;
+  config.policy = PagePolicy::kScrambled;
+  config.program_source = R"(
+        .globl main
+main:
+        la   $t0, cell
+        lw   $v0, 0($t0)
+        addiu $v0, $v0, 3
+        jr   $ra
+        sw   $v0, 0($t0)
+        .data
+cell:   .word 4
+)";
+  std::unique_ptr<SystemInstance> sys = BuildSystem(config);
+  std::vector<uint8_t> pids;
+  for (const AddressSpace& space : sys->spaces()) {
+    pids.push_back(space.pid);
+    EXPECT_GT(space.table.size(), 0u) << space.role << " is not instrumented";
+    VerifyReport report = VerifyImage(space.exe);
+    for (const VerifyFinding& f : report.findings) {
+      if (f.severity == VerifySeverity::kError) {
+        ADD_FAILURE() << space.role << ": " << VerifyPassName(f.pass) << " pc=0x" << std::hex
+                      << f.pc << ": " << f.message;
+      }
+    }
+    EXPECT_TRUE(report.ok()) << space.role;
+    EXPECT_GT(report.stats.instructions, 0u) << space.role;
+  }
+  EXPECT_EQ(pids, (std::vector<uint8_t>{kKernelPid, 1, 2}));
 }
 
 // ---- Report plumbing ------------------------------------------------------

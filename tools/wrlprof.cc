@@ -90,7 +90,7 @@ void WriteTextFile(const std::string& path, const std::string& content) {
   }
 }
 
-void PrintTables(const TraceProfiler& profiler, const Profile& profile, size_t top) {
+void PrintTables(const Profile& profile, size_t top) {
   const ProfileTotals& t = profile.totals;
   std::printf("refs %llu: %llu ifetches (%llu kernel, %llu user, %llu idle), "
               "%llu loads, %llu stores\n",
@@ -155,7 +155,6 @@ void PrintTables(const TraceProfiler& profiler, const Profile& profile, size_t t
     }
     std::printf("\n");
   }
-  (void)profiler;
 }
 
 void WriteJsonReport(const std::string& path, const CliOptions& cli, const Reconcile& reconcile,
@@ -230,25 +229,10 @@ int Run(ArgList args) {
 
   ProfileOptions popts;
   popts.window_refs = cli.window_refs;
-  TraceProfiler profiler(popts);
-  profiler.AddTable(kKernelPid, &traced->kernel_table());
-  profiler.AddTable(1, &traced->user_table());
-  profiler.AddSymbols(kKernelPid, traced->kernel_orig());
-  profiler.AddSymbols(1, traced->workload_orig());
-  profiler.SetSpaceName(1, workload.name);
-  if (cli.personality == Personality::kMach) {
-    profiler.AddTable(2, &traced->server_table());
-    profiler.AddSymbols(2, traced->server_orig());
-    profiler.SetSpaceName(2, "server");
-  }
+  std::unique_ptr<TraceProfiler> profiler = MakeProfiler(popts, *traced);
 
-  TraceParser parser(&traced->kernel_table());
-  parser.SetUserTable(1, &traced->user_table());
-  if (cli.personality == Personality::kMach) {
-    parser.SetUserTable(2, &traced->server_table());
-  }
-  parser.SetInitialContext(kKernelPid);
-  parser.SetBatchSink(&profiler);
+  TraceParser parser = traced->MakeParser();
+  parser.SetBatchSink(profiler.get());
   traced->SetTraceSink(
       [&parser](const uint32_t* words, size_t count) { parser.Feed(words, count); });
 
@@ -261,7 +245,7 @@ int Run(ArgList args) {
   parser.Finish();
   const TraceParserStats& pstats = parser.stats();
 
-  Profile profile = profiler.Finish();
+  Profile profile = profiler->Finish();
   Reconcile reconcile;
   reconcile.parser_ifetches = pstats.ifetches;
   reconcile.parser_loads = pstats.loads;
@@ -273,7 +257,7 @@ int Run(ArgList args) {
   if (!cli.quiet) {
     std::printf("wrlprof: %s (%s, scale %g, live analysis)\n", workload.name.c_str(),
                 PersonalityName(cli.personality), cli.scale);
-    PrintTables(profiler, profile, cli.top);
+    PrintTables(profile, cli.top);
   }
 
   if (!cli.json_path.empty()) {

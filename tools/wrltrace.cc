@@ -39,6 +39,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -128,16 +129,11 @@ RebuiltSystems RebuildFromMeta(const ArchiveReader& archive) {
   return sys;
 }
 
-// One pass over the capture: each chunk, decoded in capture order, feeds a
-// parser keyed by the rebuilt traced system's tables.  `sink` receives the
-// reconstructed references; null keeps only the parser's counters and
+// One pass over the capture: each chunk, decoded in capture order, feeds
+// `parser` (keyed by the rebuilt traced system's tables).  `sink` receives
+// the reconstructed references; null keeps only the parser's counters and
 // errors.
-void ParseArchive(const ArchiveReader& archive, const RebuiltSystems& sys, RefBatchSink* sink,
-                  TraceParser& parser) {
-  parser.SetUserTable(1, &sys.traced->user_table());
-  if (sys.experiment.options.personality == Personality::kMach) {
-    parser.SetUserTable(2, &sys.traced->server_table());
-  }
+void ParseArchive(const ArchiveReader& archive, RefBatchSink* sink, TraceParser& parser) {
   parser.SetBatchSink(sink);
   archive.Replay([&parser](const uint32_t* words, size_t count) { parser.Feed(words, count); });
   parser.Finish();
@@ -259,8 +255,8 @@ int CmdVerify(ArgList args) {
   // parser's §4.3 defenses (key-table bounds, marker protocol, context
   // tracking) against a freshly rebuilt system.
   RebuiltSystems sys = RebuildFromMeta(archive);
-  TraceParser parser(&sys.traced->kernel_table());
-  ParseArchive(archive, sys, nullptr, parser);
+  TraceParser parser = sys.traced->MakeParser();
+  ParseArchive(archive, nullptr, parser);
   const uint64_t parse_errors = parser.stats().validation_errors;
   for (const std::string& error : parser.errors()) {
     std::fprintf(stderr, "wrltrace: %s: parser: %s\n", path.c_str(), error.c_str());
@@ -276,7 +272,7 @@ int CmdVerify(ArgList args) {
 // ---- cat ------------------------------------------------------------------
 
 int CmdCat(ArgList args) {
-  size_t chunk = static_cast<size_t>(-1);
+  std::optional<uint64_t> chunk;
   uint64_t limit = 0;
   Flags flags("cat FILE");
   flags.Unsigned("chunk", &chunk);
@@ -286,13 +282,13 @@ int CmdCat(ArgList args) {
   PrintDiagnostics(archive);
   uint64_t printed = 0;
   std::vector<uint32_t> buffer;
-  const size_t begin = chunk == static_cast<size_t>(-1) ? 0 : chunk;
-  const size_t end = chunk == static_cast<size_t>(-1) ? archive.chunk_count() : chunk + 1;
-  if (begin >= archive.chunk_count() && begin != end) {
-    throw Error(StrFormat("chunk %zu out of range (archive has %zu)", begin,
-                          archive.chunk_count()));
+  if (chunk.has_value() && *chunk >= archive.chunk_count()) {
+    throw Error(StrFormat("chunk %llu out of range (archive has %zu)",
+                          static_cast<unsigned long long>(*chunk), archive.chunk_count()));
   }
-  for (size_t i = begin; i < end && i < archive.chunk_count(); ++i) {
+  const size_t begin = chunk.has_value() ? *chunk : 0;
+  const size_t end = chunk.has_value() ? begin + 1 : archive.chunk_count();
+  for (size_t i = begin; i < end; ++i) {
     archive.DecodeChunk(i, buffer);
     for (uint32_t word : buffer) {
       std::printf("0x%08x\n", word);
@@ -319,16 +315,15 @@ int CmdReplay(ArgList args) {
   RebuiltSystems sys = RebuildFromMeta(archive);
   const ExperimentOptions& options = sys.experiment.options;
 
-  TraceDrivenSimulator simulator(PrimaryConfig(options, *sys.measured));
-  simulator.AddTextImage(sys.measured->kernel_exe());
-  simulator.AddTextImage(sys.measured->workload_orig());
-  TraceParser parser(&sys.traced->kernel_table());
-  ParseArchive(archive, sys, &simulator, parser);
-  Prediction prediction = simulator.Finish();
+  std::unique_ptr<TraceDrivenSimulator> simulator =
+      MakeSimulator(PrimaryConfig(options, *sys.measured), *sys.measured);
+  TraceParser parser = sys.traced->MakeParser();
+  ParseArchive(archive, simulator.get(), parser);
+  Prediction prediction = simulator->Finish();
 
   StatsRegistry registry;
   parser.RegisterStats(registry, "parser.");
-  simulator.RegisterStats(registry, "predicted.");
+  simulator->RegisterStats(registry, "predicted.");
   StatsSnapshot stats = registry.Snapshot();
 
   std::printf("wrltrace: replayed %s: %llu words -> %llu refs, predicted %.0f cycles\n",

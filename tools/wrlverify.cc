@@ -4,7 +4,8 @@
 // and every paper workload, in epoxie mode and the pixie baseline — and
 // runs the wrl_verify passes (shape, liveness, relocation, tracetable,
 // scavenge) over each instrumented object plus the image-level audit over
-// each linked executable.  Object targets also carry the static dilation
+// each image linked by the system's own recipe (BuildKernelImage,
+// BuildUserImage).  Object targets also carry the static dilation
 // prediction (per-procedure text growth, trace words per visit, memtrace
 // density) computed by src/dataflow.  This is the CI gate: any
 // error-severity finding makes the tool exit nonzero.
@@ -46,8 +47,6 @@
 #include "support/json.h"
 #include "support/parallel.h"
 #include "support/strings.h"
-#include "trace/abi.h"
-#include "trace/support_asm.h"
 #include "verify/verify.h"
 #include "workloads/workloads.h"
 
@@ -73,20 +72,6 @@ struct TargetReport {
 
 const char* ModeName(InstrumentMode mode) {
   return mode == InstrumentMode::kEpoxie ? "epoxie" : "pixie";
-}
-
-// The absolute bookkeeping-area symbol the user link environment provides
-// (mirrors the harness's link recipe in src/kernel/system_build.cc).
-ObjectFile UserAbsSymbols() {
-  ObjectFile obj;
-  obj.source_name = "user-abs";
-  Symbol bk;
-  bk.name = "bk_area";
-  bk.value = kUserBkBase;
-  bk.section = SectionId::kAbs;
-  bk.global = true;
-  obj.symbols.push_back(bk);
-  return obj;
 }
 
 TargetResult ObjectTarget(const ObjectFile& orig, const InstrumentResult& res,
@@ -208,9 +193,7 @@ int Run(ArgList args) {
 
   // ---- Shared inputs, assembled once up front (the tasks only read) ----
   ObjectFile kernel_obj = Assemble("kernel.s", KernelAsm());
-  ObjectFile support = Assemble("support.s", TraceSupportAsm());
   ObjectFile userlib = Assemble("userlib.s", UserLibAsm());
-  ObjectFile abs = UserAbsSymbols();
   std::vector<WorkloadSpec> workloads = PaperWorkloads(scale);
   WorkloadSpec server;
   server.name = "server";
@@ -219,21 +202,15 @@ int Run(ArgList args) {
 
   std::vector<Task> tasks;
 
-  // ---- Kernel: epoxie-instrumented object + linked image ----
+  // ---- Kernel: epoxie-instrumented object + the image the system boots ----
   tasks.push_back({"kernel/epoxie", [&]() {
     EpoxieConfig config;
     InstrumentResult ikernel = Instrument(kernel_obj, config);
     return ObjectTarget(kernel_obj, ikernel, config, kKseg0);
   }});
-  tasks.push_back({"kernel/epoxie/image", [&]() {
-    EpoxieConfig config;
-    InstrumentResult ikernel = Instrument(kernel_obj, config);
-    LinkOptions kopts;
-    kopts.text_base = kKseg0;
-    kopts.fixed_data_base = kKernelDataBase;
-    kopts.entry_symbol = "_start";
+  tasks.push_back({"kernel/epoxie/image", []() {
     TargetResult out;
-    out.report = VerifyImage(Link({ikernel.object, support}, kopts));
+    out.report = VerifyImage(BuildKernelImage(EpoxieConfig{}).exe);
     return out;
   }});
 
@@ -253,21 +230,11 @@ int Run(ArgList args) {
         InstrumentResult iprog = Instrument(prog, config);
         return ObjectTarget(prog, iprog, config, kUserTracedTextBase);
       }});
-      tasks.push_back({w.name + "/" + ModeName(mode) + "/image",
-                       [&userlib, &support, &abs, &w, mode]() {
+      tasks.push_back({w.name + "/" + ModeName(mode) + "/image", [&w, mode]() {
         EpoxieConfig config;
         config.mode = mode;
-        InstrumentResult ilib = Instrument(userlib, config);
-        ObjectFile prog = Assemble(w.name + ".s", w.source);
-        InstrumentResult iprog = Instrument(prog, config);
-        LinkOptions orig_opts;
-        orig_opts.text_base = kUserTextBase;
-        Executable orig_exe = Link({userlib, prog}, orig_opts);
-        LinkOptions traced_opts;
-        traced_opts.text_base = kUserTracedTextBase;
-        traced_opts.fixed_data_base = orig_exe.data_base;
         TargetResult out;
-        out.report = VerifyImage(Link({ilib.object, iprog.object, support, abs}, traced_opts));
+        out.report = VerifyImage(BuildUserImage(w.name, w.source, config).exe);
         return out;
       }});
     }
